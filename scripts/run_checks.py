@@ -6,7 +6,8 @@ Examples:
     python scripts/run_checks.py --checks theorem1 --n 3 --k 2 --mode bounded
     python scripts/run_checks.py --mode random --samples 50000 --seed 42 --json
 
-Exit status 1 if any proven-claim check records a violation.
+Exit status 1 if any proven-claim check records a violation, 2 on an input
+error such as an unknown check name or a non-integer DELSHADOW_THREADS.
 """
 import argparse
 import json
@@ -35,7 +36,11 @@ def main(argv=None) -> int:
         mode=args.mode, max_size=args.max_size, samples=args.samples, rng_seed=args.seed
     )
     names = [s for s in args.checks.split(",") if s]
-    reports = verify.run_suite(names, budget, n=args.n, k=args.k)
+    try:
+        reports = verify.run_suite(names, budget, n=args.n, k=args.k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
         print(json.dumps([rep.to_dict() for rep in reports], indent=2))

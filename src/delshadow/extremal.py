@@ -5,7 +5,7 @@ segment of the <= order: levels fill bottom-up (fewest zeros first), within a
 level components fill whole in <=_c order, and the single partial component is
 a colex initial segment of zero-position sets.  Its shadow size therefore
 splits into full-component terms plus one partial-component term counted by
-`ones_count_colex`.
+the colex cascade of `ones_count_colex`.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .orders import c_key, colex_combinations, colex_initial_positions, initial_segment_leq
-from .seqcore import Component, Family, Seq, low_count, place_label, reduced, zero_count
+from .orders import colex_combinations, colex_initial_positions, level_labels
+from .seqcore import Family, Seq, low_count, place_label, reduced, zero_count
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +58,24 @@ def complement_system(system: SetSystem) -> SetSystem:
 def ones_count_colex(n: int, r: int, m: int) -> int:
     """|A_1| for A the colex initial segment of r-subsets of [n] of size m.
 
-    Counting recursion over the colex block structure: sets with maximum j form
-    a block of C(j-1, r-1), and within a block the sets are rest + {j} with
-    rest running over a colex initial segment of [j-1]^(r-1).
+    Greedy cascade m = C(a_r, r) + C(a_{r-1}, r-1) + ... with a_r > a_{r-1} > ...:
+    the term C(a_i, i) covers the i-subsets of [a_i] joined to a fixed set of
+    larger elements, C(a_i - 1, i - 1) of which contain 1.  The a_i are found
+    by one downward walk of a from n, updating C(a, i) in place.
     """
     if not (0 <= m <= comb(n, r)):
         raise ValueError(f"size {m} not in [0, C({n},{r})={comb(n, r)}]")
-    if m == 0 or r == 0:
-        return 0
     total = 0
-    remaining = m
-    for j in range(r, n + 1):
-        block = comb(j - 1, r - 1)
-        take = min(remaining, block)
-        if j == 1:
-            total += take  # the single set {1}
-        elif take == block:
-            total += comb(j - 2, r - 2) if r >= 2 else 0
-        else:
-            total += ones_count_colex(j - 1, r - 1, take)
-        remaining -= take
-        if remaining == 0:
-            break
+    a, i, c = n, r, comb(n, r)  # c = C(a, i)
+    while m and i:
+        while c > m:
+            c = c * (a - i) // a  # C(a - 1, i)
+            a -= 1
+        m -= c
+        c = c * i // a  # C(a - 1, i - 1): the term's sets containing 1
+        total += c
+        a -= 1
+        i -= 1
     return total
 
 
@@ -161,49 +157,9 @@ def compress(a: Family, s: Seq, t: Seq) -> Family:
     return Family.of(a.n, a.k, out)
 
 
-def potential_v(a: Family) -> int:
-    """Sum over members of their zero count; strictly drops on effective
-    cross-level compressions."""
-    return sum(zero_count(x) for x in a.members)
-
-
-def potential_w(a: Family) -> int:
-    """Sum over members of the <=_c index of their component within its level;
-    strictly drops on effective same-level compressions."""
-    index: dict[Seq, int] = {}
-    for zc in range(a.n + 1):
-        labels = sorted(
-            itertools.product(range(1, a.k + 1), repeat=a.n - zc),
-            key=lambda lab: c_key(lab, a.k),
-        )
-        for j, lab in enumerate(labels, start=1):
-            index[lab] = j
-    return sum(index[reduced(x)] for x in a.members)
-
-
-def _level_labels(n: int, k: int, zc: int) -> list[Seq]:
-    return sorted(
-        itertools.product(range(1, k + 1), repeat=n - zc),
-        key=lambda lab: c_key(lab, k),
-    )
-
-
 def canonicalize(a: Family) -> Family:
     """Compress A to the initial segment of <= of the same size."""
     return canonicalize_with_potentials(a)[0]
-
-
-def _colex_pack(a: Family) -> Family:
-    """Replace each component intersection by a colex initial segment of the
-    same size (the within-component replacement; never grows the shadow)."""
-    counts: dict[Seq, int] = {}
-    for x in a.members:
-        counts[reduced(x)] = counts.get(reduced(x), 0) + 1
-    out: set[Seq] = set()
-    for label, count in counts.items():
-        for zeros in colex_initial_positions(a.n, a.n - len(label), count):
-            out.add(place_label(label, zeros, a.n))
-    return Family.of(a.n, a.k, out)
 
 
 def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int]]:
@@ -215,45 +171,73 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     effective same-level pass moves mass to a <=_c-earlier component (w drops);
     both potentials are non-negative integers, so the passes terminate.
 
+    A colex-packed family is given by its count per component label, so the
+    passes run on those counts: the s,t-compression sets c[s] to
+    min(c[s] + c[t], |C_s|) and c[t] to the rest, and is effective when c[s]
+    changes.  The members are placed once, at the end.
+
     Returns (result, v_trace, w_trace) where the traces hold the potential at
     the start and after every effective pass of the respective phase.
     """
     n, k = a.n, a.k
-    a = _colex_pack(a)
-    v_trace = [potential_v(a)]
+    counts: dict[Seq, int] = {}
+    for x in a.members:
+        label = reduced(x)
+        counts[label] = counts.get(label, 0) + 1
+    levels = [level_labels(n, k, zc) for zc in range(n + 1)]
+    index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
+
+    def compress_counts(s: Seq, t: Seq) -> bool:
+        cs = counts.get(s, 0)
+        q = cs + counts.get(t, 0)
+        fill = min(q, comb(n, len(s)))
+        if fill == cs:
+            return False
+        counts[s], counts[t] = fill, q - fill
+        return True
+
+    # v sums the members' zero counts, w the <=_c indices of their components.
+    def potential_v() -> int:
+        return sum(c * (n - len(label)) for label, c in counts.items())
+
+    def potential_w() -> int:
+        return sum(c * index[label] for label, c in counts.items())
+
+    v_trace = [potential_v()]
     if n > 0:
         # Cross-level passes: levels descending, labels <=_c-descending.
         changed = True
         while changed:
             changed = False
             for zc in range(n, 0, -1):
-                for s in reversed(_level_labels(n, k, zc - 1)):
-                    for t in reversed(_level_labels(n, k, zc)):
-                        b = compress(a, s, t)
-                        if b.members != a.members:
-                            a = b
+                for s in reversed(levels[zc - 1]):
+                    for t in reversed(levels[zc]):
+                        if compress_counts(s, t):
                             changed = True
             if changed:
-                v_trace.append(potential_v(a))
+                v_trace.append(potential_v())
 
-    w_trace = [potential_w(a)]
+    w_trace = [potential_w()]
     if n > 0 and k > 1:
         # Same-level passes (a level with a single label has no pairs).
         changed = True
         while changed:
             changed = False
             for zc in range(n, -1, -1):
-                labels = _level_labels(n, k, zc)
+                labels = levels[zc]
                 for i, s in enumerate(labels):
                     for t in labels[i + 1:]:
-                        b = compress(a, s, t)
-                        if b.members != a.members:
-                            a = b
+                        if compress_counts(s, t):
                             changed = True
             if changed:
-                w_trace.append(potential_w(a))
+                w_trace.append(potential_w())
 
-    return a, v_trace, w_trace
+    members = [
+        place_label(label, zeros, n)
+        for label, c in counts.items()
+        for zeros in colex_initial_positions(n, n - len(label), c)
+    ]
+    return Family.of(n, k, members), v_trace, w_trace
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +255,9 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
         raise ValueError(f"size {m} not in [0, {(k + 1) ** n}]")
     total = 0
     remaining = m
+    comp_size, per_full = 1, 0  # C(n, i) and C(n-1, i-1), stepped with i
     for i in range(n + 1):
         n_components = k ** (n - i)
-        comp_size = comb(n, i)
-        per_full = 0 if i == 0 else comb(n - 1, i - 1)
         full = min(n_components, remaining // comp_size)
         total += full * per_full
         remaining -= full * comp_size
@@ -285,6 +268,8 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
             total += ones_count_colex(n, i, remaining)
             remaining = 0
             break
+        per_full = comp_size * (n - i) // n
+        comp_size = comp_size * (n - i) // (i + 1)
     assert remaining == 0
     return total
 

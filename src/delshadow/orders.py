@@ -15,6 +15,7 @@ three-way comparison fall out of Python tuple comparison:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 from .seqcore import Family, Seq, place_label, positions_of, rank, reduced, zero_count
@@ -91,15 +92,20 @@ def colex_initial_positions(n: int, r: int, m: int) -> list[frozenset[int]]:
     return [frozenset(c) for c in itertools.islice(colex_combinations(n, r), m)]
 
 
+@lru_cache(maxsize=None)
+def level_labels(n: int, k: int, zc: int) -> tuple[Seq, ...]:
+    """The component labels of the level with `zc` zeros, in <=_c order."""
+    return tuple(sorted(
+        itertools.product(range(1, k + 1), repeat=n - zc),
+        key=lambda s: c_key(s, k),
+    ))
+
+
 def iter_leq(n: int, k: int):
     """Stream {0,...,k}^n in <= order: level by level, component by component,
     colex on zero positions within a component."""
     for zc in range(n + 1):
-        labels = sorted(
-            itertools.product(range(1, k + 1), repeat=n - zc),
-            key=lambda s: c_key(s, k),
-        )
-        for label in labels:
+        for label in level_labels(n, k, zc):
             for zeros in colex_combinations(n, zc):
                 yield place_label(label, frozenset(zeros), n)
 

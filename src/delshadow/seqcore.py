@@ -156,12 +156,8 @@ def component_of(x: Seq, k: int) -> Component:
 
 def components(n: int, k: int, zero_count_i: int) -> list[Component]:
     """All components of the level with exactly `zero_count_i` zeros, <=_c order."""
-    from .orders import c_key
+    from .orders import level_labels
 
     if not (0 <= zero_count_i <= n):
         raise ValueError(f"zero count {zero_count_i} not in [0, {n}]")
-    labels = sorted(
-        itertools.product(range(1, k + 1), repeat=n - zero_count_i),
-        key=lambda s: c_key(s, k),
-    )
-    return [Component(label=s, n=n, k=k) for s in labels]
+    return [Component(label=s, n=n, k=k) for s in level_labels(n, k, zero_count_i)]

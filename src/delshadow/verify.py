@@ -76,7 +76,10 @@ def worker_count() -> int:
     """Worker cap from DELSHADOW_THREADS; defaults to hardware parallelism."""
     env = os.environ.get("DELSHADOW_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"DELSHADOW_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -384,16 +387,10 @@ def check_lemma6(budget: SearchBudget) -> VerificationReport:
 def _compression_pairs(n: int, k: int):
     """All valid (s, t) label pairs: same level with s <_c t, and cross level
     with len(t) = len(s) - 1."""
-    levels = {
-        zc: sorted(
-            itertools.product(range(1, k + 1), repeat=n - zc),
-            key=lambda lab: orders.c_key(lab, k),
-        )
-        for zc in range(n + 1)
-    }
+    levels = [orders.level_labels(n, k, zc) for zc in range(n + 1)]
     same = [
         (s, t)
-        for labels in levels.values()
+        for labels in levels
         for i, s in enumerate(labels)
         for t in labels[i + 1:]
     ]
@@ -690,6 +687,7 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run named checks; parameterised checks use (n, k) when given, else
     their desk-scale defaults."""
+    worker_count()  # reject a malformed DELSHADOW_THREADS before any check runs
     reports = []
     for name in names:
         if name not in ALL_CHECKS:

@@ -1,5 +1,6 @@
 import io
 import json
+from math import comb
 
 import pytest
 
@@ -168,6 +169,27 @@ class TestExitCodes:
     def test_unknown_check_name(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2
+
+    def test_deep_minshadow_has_no_traceback(self, capsys):
+        # Levels below 1050 are full; the partial component at level 1050
+        # lacks one set, so it adds C(1099, 1049) (see ones_count_colex).
+        n, level = 1100, 1050
+        size = sum(comb(n, j) for j in range(level + 1)) - 1
+        code, out, err = run_cli(
+            capsys, "minshadow", "--n", str(n), "--k", "1", "--size", str(size)
+        )
+        assert (code, err) == (0, "")
+        expected = sum(comb(n - 1, i - 1) for i in range(1, level)) + comb(n - 1, level - 1)
+        assert int(out) == expected
+
+    @pytest.mark.parametrize("suite", ["theorem2", "lemma3"])  # pooled, serial
+    def test_bad_thread_count(self, capsys, monkeypatch, suite):
+        monkeypatch.setenv("DELSHADOW_THREADS", "abc")
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", suite, "--mode", "exhaustive", "--n", "2"
+        )
+        assert code == 2
+        assert "DELSHADOW_THREADS" in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -26,8 +27,14 @@ from delshadow.extremal import (
     prop10_lower_bound,
     segment_realize,
 )
-from delshadow.orders import colex_combinations, initial_segment_leq, iter_leq
-from delshadow.seqcore import Family
+from delshadow.orders import (
+    c_key,
+    colex_combinations,
+    colex_initial_positions,
+    initial_segment_leq,
+    iter_leq,
+)
+from delshadow.seqcore import Family, place_label
 from delshadow.shadow import delta, delta_r, seq_children
 
 
@@ -76,6 +83,14 @@ class TestOnesCountColex:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ones_count_colex(4, 2, 7)
+
+    @pytest.mark.parametrize("n,r", [(6, 3), (40, 17), (1100, 1050), (2500, 1200)])
+    def test_identities_without_a_cascade(self, n, r):
+        # The first C(a, r) sets are the r-subsets of [a], C(a-1, r-1) of them
+        # with 1.  The last set of the layer, {n-r+1, ..., n}, misses 1 (r < n).
+        for a in (r, r + 1, (r + n) // 2, n):
+            assert ones_count_colex(n, r, comb(a, r)) == comb(a - 1, r - 1)
+        assert ones_count_colex(n, r, comb(n, r) - 1) == comb(n - 1, r - 1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_recursion_matches_enumeration(self, n):
@@ -200,6 +215,78 @@ class TestCanonicalize:
                     assert len(delta(b)) <= len(delta(a))
                 assert all(x > y for x, y in zip(v_trace, v_trace[1:]))
                 assert all(x > y for x, y in zip(w_trace, w_trace[1:]))
+
+
+def _member_level_canonicalize(a):
+    """The canonicalization passes replayed on members with the public
+    `compress`: colex-pack, then cross-level and same-level sweeps to their
+    fixpoints, with the potentials recomputed from the members."""
+    n, k = a.n, a.k
+    levels = [
+        sorted(itertools.product(range(1, k + 1), repeat=n - zc), key=lambda u: c_key(u, k))
+        for zc in range(n + 1)
+    ]
+    index = {u: j for labels in levels for j, u in enumerate(labels, start=1)}
+    label_of = {}
+    for x in a.members:
+        label_of.setdefault(tuple(e for e in x if e), []).append(x)
+    a = Family.of(n, k, (
+        place_label(u, zeros, n)
+        for u, xs in label_of.items()
+        for zeros in colex_initial_positions(n, n - len(u), len(xs))
+    ))
+
+    def v(f):
+        return sum(x.count(0) for x in f.members)
+
+    def w(f):
+        return sum(index[tuple(e for e in x if e)] for x in f.members)
+
+    def sweep(f, pairs, trace, potential):
+        changed = True
+        while changed:
+            changed = False
+            for s, t in pairs:
+                g = compress(f, s, t)
+                if g.members != f.members:
+                    f, changed = g, True
+            if changed:
+                trace.append(potential(f))
+        return f
+
+    cross = [
+        (s, t)
+        for zc in range(n, 0, -1)
+        for s in reversed(levels[zc - 1])
+        for t in reversed(levels[zc])
+    ]
+    same = [
+        (s, t)
+        for zc in range(n, -1, -1)
+        for i, s in enumerate(levels[zc])
+        for t in levels[zc][i + 1:]
+    ]
+    v_trace = [v(a)]
+    if n > 0:
+        a = sweep(a, cross, v_trace, v)
+    w_trace = [w(a)]
+    if n > 0 and k > 1:
+        a = sweep(a, same, w_trace, w)
+    return a, v_trace, w_trace
+
+
+class TestCanonicalizeOnCounts:
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 3), (5, 1)])
+    def test_matches_member_level_passes(self, n, k):
+        rng = random.Random(f"canon:{n}:{k}")
+        universe = list(itertools.product(range(k + 1), repeat=n))
+        for share in (0.1, 0.3, 0.5, 0.7):
+            a = Family.of(n, k, rng.sample(universe, int(share * len(universe))))
+            b, v_trace, w_trace = canonicalize_with_potentials(a)
+            expected, ev, ew = _member_level_canonicalize(a)
+            assert b.members == expected.members
+            assert (v_trace, w_trace) == (ev, ew)
+            assert b.members == initial_segment_leq(n, k, len(a)).members
 
 
 class TestMinDeltaShadow:

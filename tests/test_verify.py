@@ -101,6 +101,11 @@ class TestWorkerCount:
         with mock.patch.dict(os.environ, {"DELSHADOW_THREADS": "0"}):
             assert worker_count() == 1
 
+    def test_non_integer_names_the_variable(self):
+        with mock.patch.dict(os.environ, {"DELSHADOW_THREADS": "abc"}):
+            with pytest.raises(ValueError, match="DELSHADOW_THREADS"):
+                worker_count()
+
 
 class TestSuite:
     def test_empty_name_list(self):
