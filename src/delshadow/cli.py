@@ -119,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run named checking suites")
-    p.add_argument("--suite", required=True, help="comma-separated check names")
+    p.add_argument(
+        "--suite",
+        default=",".join(verify.ALL_CHECKS),
+        help="comma-separated check names (default: all of them)",
+    )
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=("exhaustive", "bounded", "random"), default="bounded")

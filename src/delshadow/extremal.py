@@ -105,11 +105,6 @@ def segment_realize(d: SegmentDescriptor) -> SetSystem:
     return SetSystem.of(d.n, d.r, sets)
 
 
-def segment_ones_count(d: SegmentDescriptor) -> int:
-    """|A_1| of a colex segment, by differencing the initial-segment counts."""
-    return ones_count_colex(d.n, d.r, d.upper) - ones_count_colex(d.n, d.r, d.lower)
-
-
 def co_initial_ones_count(n: int, r: int, m: int) -> int:
     """|A_1| of the final colex segment of size m (full layer minus an initial one)."""
     return comb(n - 1, r - 1) - ones_count_colex(n, r, comb(n, r) - m)
@@ -251,6 +246,8 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
     (nothing at i = 0); the single partial component contributes its
     Lemma-4 count ones_count_colex(n, i, q).
     """
+    if k < 1 or n < 0:
+        raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
     if not (0 <= m <= (k + 1) ** n):
         raise ValueError(f"size {m} not in [0, {(k + 1) ** n}]")
     total = 0

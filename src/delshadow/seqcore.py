@@ -113,11 +113,6 @@ class Family:
         return iter(sorted(self.members, key=lambda s: leq_key(s, self.k)))
 
 
-def full_universe(n: int, k: int):
-    """All (k+1)^n sequences, in base-(k+1) encoding order."""
-    return itertools.product(range(k + 1), repeat=n)
-
-
 def place_label(label: Seq, zeros: frozenset[int], n: int) -> Seq:
     """The sequence of length n with zeros at `zeros` and `label` elsewhere."""
     out = []

@@ -7,6 +7,7 @@ full 2^((k+1)^n)-subset sweeps feasible for universes of up to 27 elements.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -63,6 +64,19 @@ class VerificationReport:
         if include_elapsed:
             d["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
         return d
+
+
+def _timed(check):
+    """Make a check's report carry its wall time in `elapsed`."""
+
+    @functools.wraps(check)
+    def timed(*args, **kwargs) -> VerificationReport:
+        t0 = time.monotonic()
+        rep = check(*args, **kwargs)
+        rep.elapsed = time.monotonic() - t0
+        return rep
+
+    return timed
 
 
 def _fam_record(a: Family, detail: str = "") -> dict:
@@ -194,52 +208,50 @@ def _min_shadow_task(args):
 # Theorem-level checks
 
 
+def _sweep_sizes(rep, n, k, r_del, budget, expected, what) -> VerificationReport:
+    """Brute-force minimum of |delta_r A| at every size m against expected(m);
+    `what` names the expected value in the violation texts."""
+    if n < 0:
+        raise ValueError(f"length n must be >= 0, got {n}")
+    tasks = [(n, k, m, r_del, budget) for m in range((k + 1) ** n + 1)]
+    for m, res in _parallel_map(_min_shadow_task, tasks):
+        want = expected(m)
+        rep.instances_checked += res.instances_checked
+        if res.exact and res.value != want:
+            rep.violations.append(
+                _fam_record(res.witness, f"size {m}: brute min {res.value} != {what} {want}")
+            )
+        elif not res.exact and res.value < want:
+            rep.violations.append(
+                _fam_record(res.witness, f"size {m}: sampled family beats {what} {want}")
+            )
+    return rep
+
+
+@_timed
 def check_theorem1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """Per-size brute-force minimum of |delta A| against the closed form."""
-    t0 = time.monotonic()
     rep = VerificationReport("theorem1", {"n": n, "k": k, "mode": budget.mode})
-    size = (k + 1) ** n
-    tasks = [(n, k, m, 0, budget) for m in range(size + 1)]
-    for m, res in _parallel_map(_min_shadow_task, tasks):
-        closed = extremal.min_delta_shadow_size(n, k, m)
-        rep.instances_checked += res.instances_checked
-        if res.exact and res.value != closed:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: brute min {res.value} != closed form {closed}")
-            )
-        elif not res.exact and res.value < closed:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: sampled family beats closed form {closed}")
-            )
-    rep.elapsed = time.monotonic() - t0
-    return rep
+    return _sweep_sizes(
+        rep, n, k, 0, budget, lambda m: extremal.min_delta_shadow_size(n, k, m), "closed form"
+    )
 
 
+@_timed
 def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     """Simplicial initial segments minimise the full deletion shadow on {0,1}^n."""
-    t0 = time.monotonic()
     rep = VerificationReport("theorem2", {"n": n, "k": 1, "mode": budget.mode})
-    tasks = [(n, 1, m, 1, budget) for m in range(2 ** n + 1)]
-    for m, res in _parallel_map(_min_shadow_task, tasks):
-        seg = orders.simplicial_initial_segment(n, m)
-        seg_shadow = len(shadow.delta_r(seg, 1)) if m else 0
-        rep.instances_checked += res.instances_checked
-        if res.exact and res.value != seg_shadow:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: brute min {res.value} != simplicial {seg_shadow}")
-            )
-        elif not res.exact and res.value < seg_shadow:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: sampled family beats simplicial {seg_shadow}")
-            )
-    rep.elapsed = time.monotonic() - t0
-    return rep
+
+    def seg_shadow(m):
+        return len(shadow.delta_r(orders.simplicial_initial_segment(n, m), 1)) if m else 0
+
+    return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow, "simplicial")
 
 
+@_timed
 def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """Compare |Delta B_{r,t}| against the brute-force minimum.  A strict gap is
     an open-conjecture observation, never a violation."""
-    t0 = time.monotonic()
     rep = VerificationReport("conjecture1", {"n": n, "k": k, "mode": budget.mode})
     for r in range(k + 1):
         for t in range(k + 1):
@@ -260,13 +272,12 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
                 rep.observations.append(
                     {"detail": f"r={r} t={t}: consistent at this scale (|B|={m}, shadow {actual})"}
                 )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
+@_timed
 def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """|Delta A_t| = t^(n-1), with exhaustive minimality where feasible."""
-    t0 = time.monotonic()
     rep = VerificationReport("a_t", {"n": n, "k": k, "mode": budget.mode})
     if k < 2:
         raise ValueError("the sub-cube check needs k >= 2")
@@ -285,7 +296,6 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
                 rep.violations.append(
                     _fam_record(res.witness, f"t={t}: family beats A_t ({res.value} < {actual})")
                 )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
@@ -293,9 +303,9 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
 # Lemma and proposition sweeps
 
 
+@_timed
 def check_lemma3(budget: SearchBudget) -> VerificationReport:
     """Colex initial segments minimise delta inside one {0,1}^n level."""
-    t0 = time.monotonic()
     rep = VerificationReport("lemma3", {"n_max": 4})
     for n in range(1, 5):
         universe = universe_sequences(n, 1)
@@ -313,7 +323,6 @@ def check_lemma3(budget: SearchBudget) -> VerificationReport:
                     rep.violations.append(
                         {"detail": f"n={n} r={r} m={m}: brute {best} != colex count {expected}"}
                     )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
@@ -338,9 +347,9 @@ def colex_level_shadow_sizes(n: int, r: int) -> list[int]:
     return sizes
 
 
+@_timed
 def check_lemma4(budget: SearchBudget, n_max: int = 10) -> VerificationReport:
     """ones_count_colex agrees with direct shadow sizes of colex families."""
-    t0 = time.monotonic()
     rep = VerificationReport("lemma4", {"n_max": n_max})
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
@@ -352,14 +361,13 @@ def check_lemma4(budget: SearchBudget, n_max: int = 10) -> VerificationReport:
                     rep.violations.append(
                         {"detail": f"n={n} r={r} m={m}: direct {direct} != recursion {expected}"}
                     )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
+@_timed
 def check_lemma6(budget: SearchBudget) -> VerificationReport:
     """Every component behaves like the all-ones one: colex pieces of any
     component achieve the brute-force minimum shadow inside the component."""
-    t0 = time.monotonic()
     rep = VerificationReport("lemma6", {"n_max": 4, "k_max": 2})
     for n in range(1, 5):
         for k in (1, 2):
@@ -380,7 +388,6 @@ def check_lemma6(budget: SearchBudget) -> VerificationReport:
                                     f"brute {best} != {expected}"
                                 }
                             )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
@@ -453,18 +460,19 @@ def _random_compress_instance(rng: random.Random, cross_level: bool):
         return fam, s, t
 
 
+@_timed
 def check_lemma7(budget: SearchBudget) -> VerificationReport:
     """|delta compress(A, s, t)| <= |delta A| for same-level compressions."""
     return _check_compress_monotone(budget, "lemma7", cross_level=False)
 
 
+@_timed
 def check_lemma8(budget: SearchBudget) -> VerificationReport:
     """|delta compress(A, s, t)| <= |delta A| for cross-level compressions."""
     return _check_compress_monotone(budget, "lemma8", cross_level=True)
 
 
 def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
-    t0 = time.monotonic()
     rep = VerificationReport(name, {"mode": budget.mode})
     # Fully exhaustive universes: every family over small (n, k).
     for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
@@ -486,21 +494,13 @@ def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
     rng = random.Random(f"{budget.rng_seed}:{name}")
     for _ in range(budget.samples):
         fam, s, t = _random_compress_instance(rng, cross_level)
-        b = extremal.compress(fam, s, t)
-        rep.instances_checked += 1
-        if len(b) != len(fam):
-            rep.violations.append(_fam_record(fam, "random: compress changed cardinality"))
-        if len(shadow.delta_r(b, 0)) > len(shadow.delta_r(fam, 0)):
-            rep.violations.append(
-                _fam_record(fam, f"random: compress by s={s} t={t} grew the shadow")
-            )
-    rep.elapsed = time.monotonic() - t0
+        _sweep_compress(rep, [fam], [(s, t)], "random")
     return rep
 
 
+@_timed
 def check_lemma9(budget: SearchBudget, n_max: int = 8) -> VerificationReport:
     """The four segment-counting claims, exhaustively over all segment sizes."""
-    t0 = time.monotonic()
     rep = VerificationReport("lemma9", {"n_max": n_max})
     oc = extremal.ones_count_colex
     for n in range(1, n_max + 1):
@@ -533,14 +533,13 @@ def check_lemma9(budget: SearchBudget, n_max: int = 8) -> VerificationReport:
                     hi = extremal.co_initial_ones_count(n, r + 1, m)
                     if lo > hi:
                         rep.violations.append({"detail": f"claim4 n={n} r={r} m={m}"})
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
+@_timed
 def check_prop10(budget: SearchBudget) -> VerificationReport:
     """|delta_r A| * n * (r+1) >= sum of low-coordinate counts, for every subset
     of the small universes and seeded random larger families."""
-    t0 = time.monotonic()
     rep = VerificationReport("prop10", {"mode": budget.mode})
     for n, k in ((2, 1), (3, 1), (4, 1), (2, 2)):
         universe = universe_sequences(n, k)
@@ -573,14 +572,13 @@ def check_prop10(budget: SearchBudget) -> VerificationReport:
         rhs = sum(low_count(x, r) for x in members)
         if lhs < rhs:
             rep.violations.append(_fam_record(fam, f"random n={n} k={k} r={r}"))
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
+@_timed
 def check_corollary11(budget: SearchBudget) -> VerificationReport:
     """Level unions meet the rational bound with equality and match the
     closed-form level-size formula; equality is unique at desk scale."""
-    t0 = time.monotonic()
     rep = VerificationReport("corollary11", {"n_max": 5, "k_max": 3})
     for n in range(1, 6):
         for k in range(1, 4):
@@ -620,13 +618,12 @@ def check_corollary11(budget: SearchBudget) -> VerificationReport:
                                 f"uniqueness n={n} k={k} r={r} s={s}: shadow {val} vs {opt}",
                             )
                         )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
+@_timed
 def check_degree_identity(budget: SearchBudget) -> VerificationReport:
     """In the deletion multigraph every length-(n-1) sequence has degree n(r+1)."""
-    t0 = time.monotonic()
     rep = VerificationReport("degree_identity", {"n_max": 4, "k_max": 3})
     for n in range(1, 5):
         for k in range(1, 4):
@@ -647,36 +644,33 @@ def check_degree_identity(budget: SearchBudget) -> VerificationReport:
                                 f"{degrees.get(y, 0)} != {expected}"
                             }
                         )
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Suite runner
 
-PROVEN_CHECKS = (
-    "theorem1",
-    "theorem2",
-    "lemma3",
-    "lemma4",
-    "lemma6",
-    "lemma7",
-    "lemma8",
-    "lemma9",
-    "prop10",
-    "corollary11",
-    "degree_identity",
-    "a_t",
-)
-OPEN_CHECKS = ("conjecture1",)
-ALL_CHECKS = PROVEN_CHECKS + OPEN_CHECKS
-
-_DEFAULT_NK = {
-    "theorem1": (3, 1),
-    "theorem2": (3, 1),
-    "conjecture1": (2, 2),
-    "a_t": (2, 2),
+# name -> (runner(budget, n, k), default (n, k)); checks without (n, k)
+# ignore both.  The key order is ALL_CHECKS: proven checks, then open ones.
+# Runners look the check up when called, so a replaced module attribute is used.
+_SUITE = {
+    "theorem1": (lambda b, n, k: check_theorem1(n, k, b), (3, 1)),
+    "theorem2": (lambda b, n, k: check_theorem2(n, b), (3, 1)),
+    "lemma3": (lambda b, n, k: check_lemma3(b), (None, None)),
+    "lemma4": (lambda b, n, k: check_lemma4(b), (None, None)),
+    "lemma6": (lambda b, n, k: check_lemma6(b), (None, None)),
+    "lemma7": (lambda b, n, k: check_lemma7(b), (None, None)),
+    "lemma8": (lambda b, n, k: check_lemma8(b), (None, None)),
+    "lemma9": (lambda b, n, k: check_lemma9(b), (None, None)),
+    "prop10": (lambda b, n, k: check_prop10(b), (None, None)),
+    "corollary11": (lambda b, n, k: check_corollary11(b), (None, None)),
+    "degree_identity": (lambda b, n, k: check_degree_identity(b), (None, None)),
+    "a_t": (lambda b, n, k: check_a_t(n, k, b), (2, 2)),
+    "conjecture1": (lambda b, n, k: check_conjecture1(n, k, b), (2, 2)),
 }
+OPEN_CHECKS = ("conjecture1",)
+ALL_CHECKS = tuple(_SUITE)
+PROVEN_CHECKS = tuple(c for c in ALL_CHECKS if c not in OPEN_CHECKS)
 
 
 def run_suite(
@@ -688,33 +682,11 @@ def run_suite(
     """Run named checks; parameterised checks use (n, k) when given, else
     their desk-scale defaults."""
     worker_count()  # reject a malformed DELSHADOW_THREADS before any check runs
+    for name in names:
+        if name not in _SUITE:
+            raise ValueError(f"unknown check {name!r}; expected one of {sorted(ALL_CHECKS)}")
     reports = []
     for name in names:
-        if name not in ALL_CHECKS:
-            raise ValueError(f"unknown check {name!r}; expected one of {sorted(ALL_CHECKS)}")
-        if name in _DEFAULT_NK:
-            cn, ck = _DEFAULT_NK[name]
-            cn = n if n is not None else cn
-            ck = k if k is not None else ck
-            if name == "theorem1":
-                reports.append(check_theorem1(cn, ck, budget))
-            elif name == "theorem2":
-                reports.append(check_theorem2(cn, budget))
-            elif name == "conjecture1":
-                reports.append(check_conjecture1(cn, ck, budget))
-            else:
-                reports.append(check_a_t(cn, ck, budget))
-        else:
-            fn = {
-                "lemma3": check_lemma3,
-                "lemma4": check_lemma4,
-                "lemma6": check_lemma6,
-                "lemma7": check_lemma7,
-                "lemma8": check_lemma8,
-                "lemma9": check_lemma9,
-                "prop10": check_prop10,
-                "corollary11": check_corollary11,
-                "degree_identity": check_degree_identity,
-            }[name]
-            reports.append(fn(budget))
+        runner, (n0, k0) = _SUITE[name]
+        reports.append(runner(budget, n0 if n is None else n, k0 if k is None else k))
     return reports

@@ -4,10 +4,12 @@ from math import comb
 
 import pytest
 
-from delshadow.cli import main
+from delshadow import extremal
+from delshadow.cli import build_parser, main
 from delshadow.famio import FamilyFormatError, read_family, write_family
 from delshadow.orders import initial_segment_leq
 from delshadow.seqcore import Family
+from delshadow.verify import ALL_CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +149,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "conjecture1" in out
 
+    def test_a_violated_claim_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        right = extremal.min_delta_shadow_size
+        monkeypatch.setattr(extremal, "min_delta_shadow_size", lambda n, k, m: right(n, k, m) + 1)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "theorem1",
+            "--n", "2", "--k", "1", "--mode", "exhaustive",
+        )
+        assert code == 1
+        assert "theorem1: FAIL" in out
+
+    def test_no_suite_means_every_check(self):
+        assert build_parser().parse_args(["verify"]).suite == ",".join(ALL_CHECKS)
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -165,6 +181,21 @@ class TestExitCodes:
             capsys, "minshadow", "--n", "2", "--k", "1", "--size", "99"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n,k,size", [("3", "0", "1"), ("3", "-1", "0"), ("-2", "1", "0")]
+    )
+    def test_minshadow_invalid_alphabet(self, capsys, n, k, size):
+        code, out, err = run_cli(capsys, "minshadow", "--n", n, "--k", k, "--size", size)
+        assert (code, out) == (2, "")
+        assert "error" in err
+
+    @pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
+    def test_negative_length_is_an_input_error(self, capsys, monkeypatch, suite):
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        code, _, err = run_cli(capsys, "verify", "--suite", suite, "--n", "-1")
+        assert code == 2
+        assert "Traceback" not in err
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")

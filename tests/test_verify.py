@@ -4,13 +4,17 @@ from unittest import mock
 
 import pytest
 
+from delshadow import extremal, shadow, verify
 from delshadow.extremal import min_delta_shadow_size
+from delshadow.seqcore import Family
 from delshadow.verify import (
     EXHAUSTIVE_UNIVERSE_LIMIT,
     SearchBudget,
     brute_force_min_shadow,
     check_conjecture1,
+    check_lemma7,
     check_theorem1,
+    check_theorem2,
     child_masks,
     encode,
     run_suite,
@@ -115,13 +119,23 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(["theorem17"], EXHAUSTIVE)
 
+    def test_unknown_name_is_rejected_before_any_check_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "check_theorem1", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="theorem17"):
+            run_suite(["theorem1", "theorem17"], EXHAUSTIVE)
+        assert ran == []
+
     def test_all_proven_checks_pass_at_desk_scale(self):
         budget = SearchBudget(mode="bounded", max_size=16, samples=200, rng_seed=1)
         from delshadow.verify import PROVEN_CHECKS
 
-        for rep in run_suite(list(PROVEN_CHECKS), budget):
+        reports = run_suite(list(PROVEN_CHECKS), budget)
+        assert [rep.check for rep in reports] == list(PROVEN_CHECKS)
+        for rep in reports:
             assert rep.ok, rep.to_dict()
             assert rep.instances_checked > 0
+            assert rep.elapsed > 0
 
     def test_conjecture_reports_observations_not_violations(self):
         rep = check_conjecture1(2, 2, SearchBudget(mode="exhaustive"))
@@ -146,3 +160,38 @@ class TestSuite:
         rep = check_theorem1(2, 1, EXHAUSTIVE)
         assert rep.ok
         assert rep.instances_checked == sum(comb(4, m) for m in range(5))
+
+
+class TestChecksCanFail:
+    """Each check reports a violation when the thing it checks is wrong."""
+
+    @pytest.fixture(autouse=True)
+    def serial(self, monkeypatch):
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+
+    def test_theorem1_against_a_wrong_closed_form(self, monkeypatch):
+        right = extremal.min_delta_shadow_size
+        monkeypatch.setattr(extremal, "min_delta_shadow_size", lambda n, k, m: right(n, k, m) + 1)
+        rep = check_theorem1(2, 1, EXHAUSTIVE)
+        details = [v["detail"] for v in rep.violations]
+        assert len(details) == 5
+        assert details[3] == "size 3: brute min 1 != closed form 2"
+
+    def test_theorem2_against_a_wrong_segment_shadow(self, monkeypatch):
+        monkeypatch.setattr(shadow, "delta_r", lambda a, r: Family.of(a.n - 1, a.k, []))
+        rep = check_theorem2(3, EXHAUSTIVE)
+        details = [v["detail"] for v in rep.violations]
+        assert len(details) == 8  # every size but m = 0
+        assert all(d.endswith("!= simplicial 0") for d in details)
+
+    def test_lemma7_against_a_lossy_compression(self, monkeypatch):
+        right = extremal.compress
+
+        def lossy(a, s, t):
+            b = right(a, s, t)
+            return Family.of(b.n, b.k, sorted(b.members)[1:])
+
+        monkeypatch.setattr(extremal, "compress", lossy)
+        rep = check_lemma7(SearchBudget(mode="random", samples=5, rng_seed=0))
+        details = [v["detail"] for v in rep.violations]
+        assert details.count("random: compress changed cardinality") == 5
