@@ -10,7 +10,6 @@ import json
 import sys
 
 from . import extremal, famio, orders, shadow, verify
-from .famio import FamilyFormatError
 from .seqcore import Family
 
 
@@ -250,10 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FamilyFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

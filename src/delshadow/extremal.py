@@ -10,6 +10,7 @@ the colex cascade of `ones_count_colex`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -158,38 +159,56 @@ def canonicalize(a: Family) -> Family:
 
 
 def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int]]:
-    """Colex-pack each component, run cross-level compressions to a fixpoint,
-    then same-level compressions to a fixpoint.
+    """Colex-pack each component, pour mass down the levels to a fixpoint,
+    then pack each level into its <=_c-earliest components.
 
-    Once every component intersection is a colex initial segment, each
-    effective cross-level pass moves mass to a lower level (v drops) and each
-    effective same-level pass moves mass to a <=_c-earlier component (w drops);
-    both potentials are non-negative integers, so the passes terminate.
-
-    A colex-packed family is given by its count per component label, so the
-    passes run on those counts: the s,t-compression sets c[s] to
-    min(c[s] + c[t], |C_s|) and c[t] to the rest, and is effective when c[s]
-    changes.  The members are placed once, at the end.
+    A colex-packed family is its count per component label.  The
+    s,t-compression sets c[s] to min(c[s] + c[t], |C_s|) and c[t] to the rest,
+    so compressing every sink s of one level with every source t of the level
+    above, in that order, is a pour of min(mass in the sources, room in the
+    sinks): the sinks fill in turn and the sources drain in turn.  Cross-level
+    passes pour each level into the one below, top down, until no mass moves;
+    each effective pass lowers v, a non-negative integer, so the passes end.
+    The pairwise same-level compressions leave a level packed as |C|, ...,
+    |C|, rest, 0, ..., which is their fixpoint, so one packing pass replaces
+    them and lowers w once if it moves anything.  The members are placed once,
+    at the end.
 
     Returns (result, v_trace, w_trace) where the traces hold the potential at
     the start and after every effective pass of the respective phase.
     """
     n, k = a.n, a.k
-    counts: dict[Seq, int] = {}
-    for x in a.members:
-        label = reduced(x)
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(reduced(x) for x in a.members)
     levels = [level_labels(n, k, zc) for zc in range(n + 1)]
     index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
 
-    def compress_counts(s: Seq, t: Seq) -> bool:
-        cs = counts.get(s, 0)
-        q = cs + counts.get(t, 0)
-        fill = min(q, comb(n, len(s)))
-        if fill == cs:
-            return False
-        counts[s], counts[t] = fill, q - fill
-        return True
+    def pour(sinks: tuple[Seq, ...], sources: tuple[Seq, ...], cap: int) -> bool:
+        moved = min(sum(counts[t] for t in sources), sum(cap - counts[s] for s in sinks))
+        left = moved
+        for s in sinks:
+            if not left:
+                break
+            fill = min(cap - counts[s], left)
+            counts[s] += fill
+            left -= fill
+        left = moved
+        for t in sources:
+            if not left:
+                break
+            drain = min(counts[t], left)
+            counts[t] -= drain
+            left -= drain
+        return moved > 0
+
+    def pack(labels: tuple[Seq, ...], cap: int) -> bool:
+        left = sum(counts[s] for s in labels)
+        changed = False
+        for s in labels:
+            fill = min(cap, left)
+            if fill != counts[s]:
+                counts[s], changed = fill, True
+            left -= fill
+        return changed
 
     # v sums the members' zero counts, w the <=_c indices of their components.
     def potential_v() -> int:
@@ -198,34 +217,14 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     def potential_w() -> int:
         return sum(c * index[label] for label, c in counts.items())
 
+    # Lists, not generators: every level pair pours in every pass.
     v_trace = [potential_v()]
-    if n > 0:
-        # Cross-level passes: levels descending, labels <=_c-descending.
-        changed = True
-        while changed:
-            changed = False
-            for zc in range(n, 0, -1):
-                for s in reversed(levels[zc - 1]):
-                    for t in reversed(levels[zc]):
-                        if compress_counts(s, t):
-                            changed = True
-            if changed:
-                v_trace.append(potential_v())
-
+    while any([pour(levels[zc - 1][::-1], levels[zc][::-1], comb(n, zc - 1))
+               for zc in range(n, 0, -1)]):
+        v_trace.append(potential_v())
     w_trace = [potential_w()]
-    if n > 0 and k > 1:
-        # Same-level passes (a level with a single label has no pairs).
-        changed = True
-        while changed:
-            changed = False
-            for zc in range(n, -1, -1):
-                labels = levels[zc]
-                for i, s in enumerate(labels):
-                    for t in labels[i + 1:]:
-                        if compress_counts(s, t):
-                            changed = True
-            if changed:
-                w_trace.append(potential_w())
+    if any([pack(levels[zc], comb(n, zc)) for zc in range(n, -1, -1)]):
+        w_trace.append(potential_w())
 
     members = [
         place_label(label, zeros, n)
@@ -327,5 +326,7 @@ def prop10_lower_bound(a: Family, r_del: int) -> Fraction:
     |delta_r A|, where A_s collects members with exactly s low coordinates."""
     if a.n < 1:
         raise ValueError("bound needs n >= 1")
+    if not (0 <= r_del <= a.k):
+        raise ValueError(f"deletion radius {r_del} not in [0, {a.k}]")
     weighted = sum(low_count(x, r_del) for x in a.members)
     return Fraction(weighted, a.n * (r_del + 1))

@@ -14,15 +14,6 @@ from math import comb
 Seq = tuple[int, ...]
 
 
-def validate_sequence(x: Seq, k: int) -> None:
-    """Raise ValueError unless x is a valid sequence over {0,...,k}."""
-    if k < 1:
-        raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
-    for i, e in enumerate(x, start=1):
-        if not (0 <= e <= k):
-            raise ValueError(f"entry {e} at position {i} not in [0, {k}]")
-
-
 def reduced(x: Seq) -> Seq:
     """The reduced word of x: all zero coordinates removed, order preserved."""
     return tuple(e for e in x if e != 0)
@@ -97,7 +88,9 @@ class Family:
         for s in members:
             if len(s) != n:
                 raise ValueError(f"member {s} has length {len(s)}, expected {n}")
-            validate_sequence(s, k)
+            for i, e in enumerate(s, start=1):
+                if not (0 <= e <= k):
+                    raise ValueError(f"entry {e} at position {i} not in [0, {k}]")
         return cls(n=n, k=k, members=members)
 
     def __len__(self) -> int:

@@ -38,6 +38,8 @@ class SearchBudget:
             raise ValueError(f"unknown budget mode {self.mode!r}")
         if self.mode != "exhaustive" and self.samples <= 0:
             raise ValueError("samples must be positive outside exhaustive mode")
+        if self.mode == "bounded" and self.max_size < 0:
+            raise ValueError("max_size must be non-negative in bounded mode")
 
 
 @dataclass

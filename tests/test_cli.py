@@ -107,6 +107,12 @@ class TestPipelines:
         assert code == 0
         assert read_family(io.StringIO(out)) == initial_segment_leq(2, 1, 2)
 
+    def test_canonicalize_deep_family_equals_initseg(self, tmp_path, capsys):
+        src = family_file(tmp_path, "8 3\n3 0 2 1 0 3 3 1\n2 2 2 2 2 2 2 2\n")
+        code, out, _ = run_cli(capsys, "canonicalize", "--in", src)
+        assert code == 0
+        assert run_cli(capsys, "initseg", "--n", "8", "--k", "3", "--size", "2") == (0, out, "")
+
     def test_compress_example(self, tmp_path, capsys):
         src = family_file(tmp_path, "2 2\n0 1\n0 2\n")
         code, out, _ = run_cli(capsys, "compress", "--s", "1", "--t", "2", "--in", src)
@@ -196,6 +202,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--suite", suite, "--n", "-1")
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "family,r", [("2 1\n0 1\n", "-1"), ("2 2\n", "5")], ids=["negative", "above_k"]
+    )
+    def test_bound_radius_out_of_range(self, tmp_path, capsys, family, r):
+        src = family_file(tmp_path, family)
+        code, out, err = run_cli(capsys, "bound", "--r", r, "--in", src)
+        assert (code, out) == (2, "")
+        assert "deletion radius" in err and "Traceback" not in err
+
+    def test_negative_max_size_is_an_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--n", "2", "--k", "1", "--max-size", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert "max_size" in err and "Traceback" not in err
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")

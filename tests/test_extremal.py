@@ -33,6 +33,7 @@ from delshadow.orders import (
     colex_initial_positions,
     initial_segment_leq,
     iter_leq,
+    level_labels,
 )
 from delshadow.seqcore import Family, place_label
 from delshadow.shadow import delta, delta_r, seq_children
@@ -273,6 +274,88 @@ def _member_level_canonicalize(a):
     if n > 0 and k > 1:
         a = sweep(a, same, w_trace, w)
     return a, v_trace, w_trace
+
+
+def _pairwise_canonicalize(a):
+    """The count-level passes as pairwise sweeps: every cross-level pair and
+    every same-level pair compressed in turn, each phase to its fixpoint."""
+    n, k = a.n, a.k
+    counts = {}
+    for x in a.members:
+        label = tuple(e for e in x if e)
+        counts[label] = counts.get(label, 0) + 1
+    levels = [level_labels(n, k, zc) for zc in range(n + 1)]
+    index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
+
+    def compress_counts(s, t):
+        cs = counts.get(s, 0)
+        q = cs + counts.get(t, 0)
+        fill = min(q, comb(n, len(s)))
+        if fill == cs:
+            return False
+        counts[s], counts[t] = fill, q - fill
+        return True
+
+    def potential_v():
+        return sum(c * (n - len(label)) for label, c in counts.items())
+
+    def potential_w():
+        return sum(c * index[label] for label, c in counts.items())
+
+    v_trace = [potential_v()]
+    if n > 0:
+        changed = True
+        while changed:
+            changed = False
+            for zc in range(n, 0, -1):
+                for s in reversed(levels[zc - 1]):
+                    for t in reversed(levels[zc]):
+                        if compress_counts(s, t):
+                            changed = True
+            if changed:
+                v_trace.append(potential_v())
+
+    w_trace = [potential_w()]
+    if n > 0 and k > 1:
+        changed = True
+        while changed:
+            changed = False
+            for zc in range(n, -1, -1):
+                labels = levels[zc]
+                for i, s in enumerate(labels):
+                    for t in labels[i + 1:]:
+                        if compress_counts(s, t):
+                            changed = True
+            if changed:
+                w_trace.append(potential_w())
+
+    members = {
+        place_label(label, zeros, n)
+        for label, c in counts.items()
+        for zeros in colex_initial_positions(n, n - len(label), c)
+    }
+    return members, v_trace, w_trace
+
+
+class TestCanonicalizeAsPours:
+    @staticmethod
+    def _assert_matches_pairwise(a):
+        b, v_trace, w_trace = canonicalize_with_potentials(a)
+        assert (b.members, v_trace, w_trace) == _pairwise_canonicalize(a)
+        assert b.members == initial_segment_leq(a.n, a.k, len(a)).members
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 2), (7, 2), (4, 4)])
+    def test_matches_pairwise_sweeps(self, n, k):
+        rng = random.Random(f"pour:{n}:{k}")
+        universe = list(itertools.product(range(k + 1), repeat=n))
+        sizes = [1, 2, 3, int(0.3 * len(universe)), int(0.7 * len(universe))]
+        for m in sizes:
+            self._assert_matches_pairwise(Family.of(n, k, rng.sample(universe, m)))
+
+    def test_sparse_family_matches_pairwise_sweeps(self):
+        rng = random.Random("pour:6:3:sparse")
+        universe = list(itertools.product(range(4), repeat=6))
+        self._assert_matches_pairwise(Family.of(6, 3, rng.sample(universe, 40)))
 
 
 class TestCanonicalizeOnCounts:

@@ -47,6 +47,11 @@ class TestSearchBudget:
         with pytest.raises(ValueError):
             SearchBudget(mode="random", samples=0)
 
+    def test_rejects_negative_max_size_when_bounded(self):
+        with pytest.raises(ValueError, match="max_size"):
+            SearchBudget(mode="bounded", max_size=-1)
+        assert SearchBudget(mode="random", max_size=-1).max_size == -1
+
     def test_exhaustive_ignores_samples(self):
         assert SearchBudget(mode="exhaustive", samples=0).mode == "exhaustive"
 
