@@ -179,7 +179,7 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     """
     n, k = a.n, a.k
     counts = Counter(reduced(x) for x in a.members)
-    levels = [level_labels(n, k, zc) for zc in range(n + 1)]
+    levels = [tuple(level_labels(n, k, zc)) for zc in range(n + 1)]
     index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
 
     def pour(sinks: tuple[Seq, ...], sources: tuple[Seq, ...], cap: int) -> bool:

@@ -1,29 +1,31 @@
 """The four orders on sequences and position sets, plus streaming generation.
 
 All four strict orders are realised through sort-key functions, so sorting and
-three-way comparison fall out of Python tuple comparison:
+three-way comparison fall out of Python int and tuple comparison:
 
-* colex on position sets: S < T iff max(S symdiff T) is in T, which is
-  lexicographic comparison of the descending-sorted tuples.
+* colex on position sets: S < T iff max(S symdiff T) is in T, which is the
+  numeric order of the bitmasks sum(1 << i for i in S), for sets of any sizes.
 * simplicial on {0,1}^n: rank first, ties by min(X symdiff Y) in X.
-* <=_c on zero-free words: lexicographic over i = 1, 2, ... of the colex keys
+* <=_c on zero-free words: lexicographic over i = 1, 2, ... of the colex masks
   of the value-position sets R_i.  R_0 never differs for zero-free words, so
-  the scan starts at i = 1.
+  the scan starts at i = 1.  `level_labels` generates it without sorting.
 * <= on {0,...,k}^n: zero count, then <=_c on reduced words, then colex on the
-  zero-position sets.
+  zero-position sets; `iter_leq` streams it.
 """
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 
 from .seqcore import Family, Seq, place_label, positions_of, rank, reduced, zero_count
 
 
-def colex_key(s) -> tuple[int, ...]:
-    """Sort key realising colex: descending-sorted tuple, compared lexicographically."""
-    return tuple(sorted(s, reverse=True))
+def colex_key(s) -> int:
+    """Sort key realising colex: the bitmask sum(1 << i for i in s) of the set."""
+    mask = 0
+    for i in s:
+        mask |= 1 << i
+    return mask
 
 
 def colex_less(s, t) -> bool:
@@ -80,9 +82,16 @@ def colex_combinations(n: int, r: int):
     if r == 0:
         yield ()
         return
-    for top in range(r, n + 1):
-        for rest in colex_combinations(top - 1, r - 1):
-            yield rest + (top,)
+    c = list(range(1, r + 1))
+    # Raise the lowest element that can rise and reset the ones below it; the
+    # top element reaching n + 1 ends the stream (at once when r > n).
+    while c[-1] <= n:
+        yield tuple(c)
+        j = 0
+        while j < r - 1 and c[j] + 1 == c[j + 1]:
+            j += 1
+        c[j] += 1
+        c[:j] = range(1, j + 1)
 
 
 def colex_initial_positions(n: int, r: int, m: int) -> list[frozenset[int]]:
@@ -92,13 +101,26 @@ def colex_initial_positions(n: int, r: int, m: int) -> list[frozenset[int]]:
     return [frozenset(c) for c in itertools.islice(colex_combinations(n, r), m)]
 
 
-@lru_cache(maxsize=None)
-def level_labels(n: int, k: int, zc: int) -> tuple[Seq, ...]:
-    """The component labels of the level with `zc` zeros, in <=_c order."""
-    return tuple(sorted(
-        itertools.product(range(1, k + 1), repeat=n - zc),
-        key=lambda s: c_key(s, k),
-    ))
+def level_labels(n: int, k: int, zc: int):
+    """The component labels of the level with `zc` zeros, streamed in <=_c order.
+
+    <=_c is lexicographic over the masks of R_1, ..., R_{k-1}; R_k is the rest.
+    With values low..k-1 still to place on the `free` positions (which hold k),
+    the label without them comes first; then, for each value from k-1 down,
+    each nonempty submask of `free` in increasing order takes that value, and
+    the positions left are filled with the values above it.
+    """
+    def fill(label: Seq, low: int, free: int):
+        yield label
+        for value in range(k - 1, low - 1, -1):
+            sub = 0
+            while sub := (sub - free) & free:
+                placed = tuple(value if sub >> i & 1 else e for i, e in enumerate(label))
+                yield from fill(placed, value + 1, free & ~sub)
+
+    length = n - zc
+    if k >= 1 or length == 0:
+        yield from fill((k,) * length, 1, (1 << length) - 1)
 
 
 def iter_leq(n: int, k: int):

@@ -167,37 +167,25 @@ def brute_force_min_shadow(
                 f"exhaustive search infeasible: universe has {size} > "
                 f"{EXHAUSTIVE_UNIVERSE_LIMIT} elements"
             )
-        best = None
-        best_idx: tuple[int, ...] = ()
-        count = 0
-        for idx in itertools.combinations(range(size), m):
-            acc = 0
-            for i in idx:
-                acc |= masks[i]
-            count += 1
-            v = acc.bit_count()
-            if best is None or v < best:
-                best, best_idx = v, idx
-        assert count == comb(size, m)
-        witness = Family.of(n, k, (universe[i] for i in best_idx))
-        return BruteForceResult(best or 0, witness, True, count)
-
-    if budget.mode not in ("bounded", "random"):
-        raise ValueError(f"budget mode {budget.mode!r} infeasible here")
-    rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
-    indices = range(size)
+        candidates = itertools.combinations(range(size), m)
+    else:
+        rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
+        candidates = (rng.sample(range(size), m) for _ in range(budget.samples))
     best = None
     best_idx = ()
-    for _ in range(budget.samples):
-        idx = rng.sample(indices, m)
+    count = 0
+    for idx in candidates:
         acc = 0
         for i in idx:
             acc |= masks[i]
+        count += 1
         v = acc.bit_count()
         if best is None or v < best:
-            best, best_idx = v, tuple(idx)
+            best, best_idx = v, idx
+    if exhaustive:
+        assert count == comb(size, m)
     witness = Family.of(n, k, (universe[i] for i in best_idx))
-    return BruteForceResult(best or 0, witness, False, budget.samples)
+    return BruteForceResult(best or 0, witness, exhaustive, count)
 
 
 def _min_shadow_task(args):
@@ -393,23 +381,13 @@ def check_lemma6(budget: SearchBudget) -> VerificationReport:
     return rep
 
 
-def _compression_pairs(n: int, k: int):
-    """All valid (s, t) label pairs: same level with s <_c t, and cross level
-    with len(t) = len(s) - 1."""
-    levels = [orders.level_labels(n, k, zc) for zc in range(n + 1)]
-    same = [
-        (s, t)
-        for labels in levels
-        for i, s in enumerate(labels)
-        for t in labels[i + 1:]
-    ]
-    cross = [
-        (s, t)
-        for zc in range(1, n + 1)
-        for s in levels[zc - 1]
-        for t in levels[zc]
-    ]
-    return same, cross
+def _compression_pairs(n: int, k: int, cross_level: bool):
+    """The valid (s, t) label pairs: cross level with len(t) = len(s) - 1, or
+    same level with s <_c t."""
+    levels = [tuple(orders.level_labels(n, k, zc)) for zc in range(n + 1)]
+    if cross_level:
+        return [(s, t) for zc in range(1, n + 1) for s in levels[zc - 1] for t in levels[zc]]
+    return [(s, t) for labels in levels for i, s in enumerate(labels) for t in labels[i + 1:]]
 
 
 def _sweep_compress(rep, families, pairs, label):
@@ -478,13 +456,11 @@ def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
     rep = VerificationReport(name, {"mode": budget.mode})
     # Fully exhaustive universes: every family over small (n, k).
     for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
-        same, cross = _compression_pairs(n, k)
-        pairs = cross if cross_level else same
+        pairs = _compression_pairs(n, k, cross_level)
         if pairs:
             _sweep_compress(rep, _all_families(n, k), pairs, f"n={n} k={k}")
     # (3, 2): 2^27 families is out of desk scale; cover small sizes exhaustively.
-    same, cross = _compression_pairs(3, 2)
-    pairs = cross if cross_level else same
+    pairs = _compression_pairs(3, 2, cross_level)
     universe = universe_sequences(3, 2)
     small = (
         Family.of(3, 2, sub)

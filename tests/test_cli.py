@@ -119,6 +119,24 @@ class TestPipelines:
         assert code == 0
         assert read_family(io.StringIO(out)).members == {(0, 1), (1, 0)}
 
+    def test_compress_long_family(self, tmp_path, capsys):
+        n = 1100
+        src = family_file(tmp_path, f"{n} 1\n1" + " 0" * (n - 1) + "\n")
+        code, out, err = run_cli(capsys, "compress", "--s", "1", "--t", "", "--in", src)
+        assert (code, err) == (0, "")
+        assert out == f"{n} 1\n" + "0 " * (n - 1) + "1\n"
+
+    @pytest.mark.parametrize("n,k,size,members", [
+        (30, 3, 1, ["3 " * 29 + "3"]),
+        (3, 5000, 2, ["5000 5000 5000", "4999 5000 5000"]),
+    ])
+    def test_initseg_streams_large_levels(self, capsys, n, k, size, members):
+        code, out, err = run_cli(
+            capsys, "initseg", "--n", str(n), "--k", str(k), "--size", str(size)
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"{n} {k}", *members]
+
     def test_bound_command(self, tmp_path, capsys):
         src = family_file(tmp_path, "5 2\n0 0 1 2 1\n")
         code, out, _ = run_cli(capsys, "bound", "--r", "1", "--in", src, "--json")

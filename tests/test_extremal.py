@@ -284,7 +284,7 @@ def _pairwise_canonicalize(a):
     for x in a.members:
         label = tuple(e for e in x if e)
         counts[label] = counts.get(label, 0) + 1
-    levels = [level_labels(n, k, zc) for zc in range(n + 1)]
+    levels = [tuple(level_labels(n, k, zc)) for zc in range(n + 1)]
     index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
 
     def compress_counts(s, t):

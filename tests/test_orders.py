@@ -9,9 +9,11 @@ from delshadow.orders import (
     c_less,
     colex_combinations,
     colex_initial_positions,
+    colex_key,
     colex_less,
     initial_segment_leq,
     iter_leq,
+    level_labels,
     leq_key,
     leq_less,
     simplicial_initial_segment,
@@ -57,6 +59,18 @@ class TestColex:
                     key=lambda s: tuple(sorted(s, reverse=True)),
                 )
                 assert streamed == sorted_all
+
+    def test_more_elements_than_positions_gives_nothing(self):
+        for n in range(4):
+            assert list(colex_combinations(n, n + 1)) == []
+            assert list(colex_combinations(n, n + 3)) == []
+
+    def test_long_sets_step_without_recursion(self):
+        n = 1100
+        sets = list(colex_combinations(n, n - 1))
+        assert len(sets) == n
+        assert sets[0] == tuple(range(1, n))
+        assert sets[-1] == tuple(range(2, n + 1))
 
 
 class TestSimplicial:
@@ -147,6 +161,70 @@ class TestInitialSegmentLeq:
         small = initial_segment_leq(n, k, m)
         big = initial_segment_leq(n, k, m + 1)
         assert small.members < big.members
+
+
+def _descending(s) -> tuple[int, ...]:
+    """Colex by its definition: sets compared as descending-sorted tuples."""
+    return tuple(sorted(s, reverse=True))
+
+
+def _c_definition(u, k):
+    """<=_c by its definition: the colex keys of R_1, ..., R_k in turn."""
+    return tuple(
+        _descending(i for i, e in enumerate(u, start=1) if e == v) for v in range(1, k + 1)
+    )
+
+
+class TestGeneratedOrder:
+    """The generated orders equal sorting by the definitions, restated here."""
+
+    def test_colex_key_orders_sets_of_mixed_sizes(self):
+        sets = [frozenset(c) for r in range(7) for c in itertools.combinations(range(1, 7), r)]
+        assert sorted(sets, key=colex_key) == sorted(sets, key=_descending)
+
+    @given(st.frozensets(st.integers(1, 70)), st.frozensets(st.integers(1, 70)))
+    def test_colex_key_compares_like_the_definition(self, s, t):
+        assert (colex_key(s) < colex_key(t)) == (_descending(s) < _descending(t))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_levels_match_sorting_by_the_definition(self, k):
+        for n in range(8):
+            for zc in range(n + 1):
+                if k ** (n - zc) > 5000:
+                    continue
+                words = itertools.product(range(1, k + 1), repeat=n - zc)
+                expected = sorted(words, key=lambda u: _c_definition(u, k))
+                assert list(level_labels(n, k, zc)) == expected
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (4, 3), (3, 4), (2, 6)])
+    def test_iter_leq_matches_sorting_by_the_definition(self, n, k):
+        def key(x):
+            zeros = [i for i, e in enumerate(x, start=1) if e == 0]
+            return len(zeros), _c_definition(tuple(e for e in x if e), k), _descending(zeros)
+
+        universe = itertools.product(range(k + 1), repeat=n)
+        assert list(iter_leq(n, k)) == sorted(universe, key=key)
+
+    @given(st.integers(0, 7), st.integers(1, 5), st.data())
+    def test_levels_ascend_by_the_definition(self, n, k, data):
+        zc = data.draw(st.integers(max(0, n - 5), n))
+        labels = list(level_labels(n, k, zc))
+        keys = [_c_definition(u, k) for u in labels]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(labels) == k ** (n - zc)
+        assert all(len(u) == n - zc and set(u) <= set(range(1, k + 1)) for u in labels)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_label_below_one(self, k):
+        for n in range(4):
+            for zc in range(n + 1):
+                assert list(level_labels(n, k, zc)) == ([()] if zc == n else [])
+
+    def test_long_levels_stream(self):
+        assert next(level_labels(30, 3, 0)) == (3,) * 30
+        assert list(itertools.islice(level_labels(3, 5000, 0), 3)) == [
+            (5000, 5000, 5000), (4999, 5000, 5000), (5000, 4999, 5000)
+        ]
 
 
 class TestReversalIsomorphism:
