@@ -270,8 +270,16 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
     return total
 
 
+def _check_length(n: int) -> None:
+    """Refuse a negative length with the message of Family.of, before a
+    builder's own range checks."""
+    if n < 0:
+        raise ValueError(f"length n must be >= 0, got {n}")
+
+
 def family_l_leq(n: int, k: int, r_del: int, s: int) -> Family:
     """All sequences with at most s coordinates of value <= r_del."""
+    _check_length(n)
     if not (0 <= s <= n):
         raise ValueError(f"level bound {s} not in [0, {n}]")
     if not (0 <= r_del <= k):
@@ -284,6 +292,7 @@ def family_l_leq(n: int, k: int, r_del: int, s: int) -> Family:
 
 def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
     """All sequences with at most r zeros and all coordinates in {0,...,t}."""
+    _check_length(n)
     if not (0 <= r <= k and 0 <= t <= k):
         raise ValueError(f"need 0 <= r, t <= {k}, got r={r}, t={t}")
     return Family.of(
@@ -294,6 +303,7 @@ def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
 
 def family_a_t(n: int, k: int, t: int) -> Family:
     """The cube {0,...,t-1}^n inside {0,...,k}^n."""
+    _check_length(n)
     if not (1 <= t <= k):
         raise ValueError(f"need 1 <= t <= {k}, got t={t}")
     return Family.of(n, k, itertools.product(range(t), repeat=n))

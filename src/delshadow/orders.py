@@ -8,7 +8,9 @@ three-way comparison fall out of Python int and tuple comparison:
 * simplicial on {0,1}^n: rank first, ties by min(X symdiff Y) in X.
 * <=_c on zero-free words: lexicographic over i = 1, 2, ... of the colex masks
   of the value-position sets R_i.  R_0 never differs for zero-free words, so
-  the scan starts at i = 1.  `level_labels` generates it without sorting.
+  the scan starts at i = 1.  The key is one integer, the masks concatenated
+  with R_1 most significant.  `level_labels` generates the order without
+  sorting.
 * <= on {0,...,k}^n: zero count, then <=_c on reduced words, then colex on the
   zero-position sets; `iter_leq` streams it.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .seqcore import Family, Seq, place_label, positions_of, rank, reduced, zero_count
+from .seqcore import Family, Seq, place_label, positions_of, rank
 
 
 def colex_key(s) -> int:
@@ -49,9 +51,9 @@ def simplicial_less(x: Seq, y: Seq) -> bool:
     return simplicial_key(x) < simplicial_key(y)
 
 
-def c_key(u: Seq, k: int):
-    """Sort key realising <=_c on zero-free words over {1,...,k}."""
-    return tuple(colex_key(positions_of(u, i)) for i in range(1, k + 1))
+def c_key(u: Seq, k: int) -> int:
+    """Sort key realising <=_c on zero-free words over {1,...,k}; see leq_key."""
+    return leq_key(u, k)[1]
 
 
 def c_less(u: Seq, v: Seq, k: int | None = None) -> bool:
@@ -65,9 +67,25 @@ def c_less(u: Seq, v: Seq, k: int | None = None) -> bool:
     return c_key(u, k) < c_key(v, k)
 
 
-def leq_key(x: Seq, k: int):
-    """Sort key realising the <= order on {0,...,k}^n."""
-    return (zero_count(x), c_key(reduced(x), k), colex_key(positions_of(x, 0)))
+def leq_key(x: Seq, k: int) -> tuple[int, int, int]:
+    """Sort key realising the <= order on {0,...,k}^n, in one pass: (zero
+    count, c, colex mask of the zero positions).
+
+    c is the <=_c key of the reduced word.  With L nonzero entries, entry e at
+    reduced position j sets bit L*(k-e) + j: the L-bit colex masks of R_1, ...,
+    R_k concatenated, R_1 most significant, which compares like the tuple of
+    masks at a cost that does not grow with k.
+    """
+    zc = x.count(0)
+    width = len(x) - zc
+    c = zeros = j = 0
+    for i, e in enumerate(x):
+        if e:
+            c |= 1 << (width * (k - e) + j)
+            j += 1
+        else:
+            zeros |= 1 << i
+    return (zc, c, zeros)
 
 
 def leq_less(x: Seq, y: Seq, k: int) -> bool:

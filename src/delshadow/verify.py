@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import extremal, orders, shadow
 from .seqcore import Family, Seq, components, low_count, zero_count
@@ -99,14 +100,6 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_map(fn, tasks: list):
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # Encoded universe
 
@@ -122,6 +115,14 @@ def encode(x: Seq, k: int) -> int:
     return code
 
 
+def decode(code: int, n: int, k: int) -> Seq:
+    """The length-n sequence with base-(k+1) code `code` (inverse of encode)."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, out[i] = divmod(code, k + 1)
+    return tuple(out)
+
+
 def child_masks(n: int, k: int, r_del: int) -> list[int]:
     """mask[i] has bit encode(y) set for every deletion child y of sequence i."""
     masks = []
@@ -133,12 +134,62 @@ def child_masks(n: int, k: int, r_del: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+def _witness(n: int, k: int, codes: int) -> Family:
+    """The family of the universe members whose codes are the set bits of
+    `codes`."""
+    return Family.of(n, k, (decode(i, n, k) for i in range(codes.bit_length()) if codes >> i & 1))
+
+
+# ---------------------------------------------------------------------------
+# The size-search engine
+
+# child_masks holds U masks of (k+1)^(n-1) bits and a sweep visits U + 1
+# sizes, so a sweep's memory and its shortest run grow as U^2.  At U = 4096,
+# (n, k) = (12, 1), a one-sample random theorem1 sweep takes 2.5 s (2 vCPUs,
+# Python 3.11).
+SWEEP_UNIVERSE_LIMIT = 4096
+
+# Work is counted in exhaustive instances (0.4-0.5 us each at U = 27); a
+# sampled instance, mostly `rng.sample`, costs about ten.  A two-worker pool
+# adds about 15 ms to a sweep: start, masks in each worker, task traffic and
+# shutdown (2 vCPUs, Python 3.11, fork).  Measured there, an exhaustive sweep
+# of 65 536 units took 31 ms in-process and 47 ms pooled, and a sampled one
+# of 300 000 units 146 ms and 110 ms; the two broke even near 100 000.
+SAMPLE_COST = 10
+POOL_MIN_WORK = 100_000
+
+
+class _Best(NamedTuple):
+    """One size's search result: the least shadow found, a family attaining
+    it as a bitmask of member codes, whether the search was exhaustive, and
+    its instance count.  A mask, not a tuple of codes, because a sweep keeps
+    one result per size: at (12, 1) the tuples of 4097 sizes held 357 MB."""
+
     value: int
-    witness: Family
+    codes: int
     exact: bool
-    instances_checked: int
+    instances: int
+
+
+def _is_exact(budget: SearchBudget, size: int, m: int) -> bool:
+    """Whether size m of a size-`size` universe is searched exhaustively."""
+    return budget.mode == "exhaustive" or (
+        budget.mode == "bounded" and min(m, size - m) <= budget.max_size
+    )
+
+
+def _sweep_universe(n: int, k: int) -> int:
+    """The universe size (k+1)^n, refusing inputs no sweep can take."""
+    if n < 0:
+        raise ValueError(f"length n must be >= 0, got {n}")
+    if k < 1:
+        raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
+    size = (k + 1) ** n
+    if size > SWEEP_UNIVERSE_LIMIT:
+        raise ValueError(
+            f"sweep infeasible: universe has {size} > {SWEEP_UNIVERSE_LIMIT} elements"
+        )
+    return size
 
 
 def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
@@ -147,26 +198,12 @@ def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
     return random.Random(f"{seed}:{n}:{k}:{m}:{r_del}")
 
 
-def brute_force_min_shadow(
-    n: int, k: int, m: int, r_del: int, budget: SearchBudget
-) -> BruteForceResult:
-    """Minimum |delta_r A| over size-m families, exact in exhaustive sweeps and
-    a sampled upper bound otherwise (exact=False)."""
-    universe = universe_sequences(n, k)
-    size = len(universe)
-    if not (0 <= m <= size):
-        raise ValueError(f"size {m} not in [0, {size}]")
-    masks = child_masks(n, k, r_del)
-
-    exhaustive = budget.mode == "exhaustive" or (
-        budget.mode == "bounded" and min(m, size - m) <= budget.max_size
-    )
-    if exhaustive:
-        if size > EXHAUSTIVE_UNIVERSE_LIMIT:
-            raise ValueError(
-                f"exhaustive search infeasible: universe has {size} > "
-                f"{EXHAUSTIVE_UNIVERSE_LIMIT} elements"
-            )
+def _search(masks: list[int], n: int, k: int, m: int, r_del: int, budget: SearchBudget) -> _Best:
+    """Least popcount of the OR of m masks: over every m-subset when exact,
+    else over `budget.samples` seeded random ones."""
+    size = len(masks)
+    exact = _is_exact(budget, size, m)
+    if exact:
         candidates = itertools.combinations(range(size), m)
     else:
         rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
@@ -182,16 +219,76 @@ def brute_force_min_shadow(
         v = acc.bit_count()
         if best is None or v < best:
             best, best_idx = v, idx
-    if exhaustive:
+    if exact:
         assert count == comb(size, m)
-    witness = Family.of(n, k, (universe[i] for i in best_idx))
-    return BruteForceResult(best or 0, witness, exhaustive, count)
+    return _Best(best or 0, sum(1 << i for i in best_idx), exact, count)
 
 
-def _min_shadow_task(args):
-    n, k, m, r_del, budget = args
-    res = brute_force_min_shadow(n, k, m, r_del, budget)
-    return m, res
+# Set by the pool initializer, in worker processes only.
+_worker_masks: list[int] = []
+
+
+def _load_worker_masks(n: int, k: int, r_del: int) -> None:
+    global _worker_masks
+    _worker_masks = child_masks(n, k, r_del)
+
+
+def _worker_search(args) -> _Best:
+    return _search(_worker_masks, *args)
+
+
+def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> list[_Best]:
+    """Search every size in `sizes` and return one result per size, in order.
+
+    Repeated sizes are searched once: the search of a size is deterministic.
+    A sweep whose estimated work is under POOL_MIN_WORK runs in-process;
+    larger ones are spread over a process pool, largest first, with the masks
+    built once per worker.  Every refusal comes before any work.
+    """
+    size = _sweep_universe(n, k)
+    distinct = list(dict.fromkeys(sizes))
+    work = {}
+    for m in distinct:
+        if not (0 <= m <= size):
+            raise ValueError(f"size {m} not in [0, {size}]")
+        if not _is_exact(budget, size, m):
+            work[m] = SAMPLE_COST * budget.samples
+        elif size > EXHAUSTIVE_UNIVERSE_LIMIT:
+            raise ValueError(
+                f"exhaustive search infeasible: universe has {size} > "
+                f"{EXHAUSTIVE_UNIVERSE_LIMIT} elements"
+            )
+        else:
+            work[m] = comb(size, m)
+    workers = min(worker_count(), len(distinct))
+    if workers <= 1 or sum(work.values()) < POOL_MIN_WORK:
+        masks = child_masks(n, k, r_del)
+        found = {m: _search(masks, n, k, m, r_del, budget) for m in distinct}
+    else:
+        order = sorted(distinct, key=lambda m: (work[m], m), reverse=True)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_load_worker_masks, initargs=(n, k, r_del)
+        ) as pool:
+            tasks = [(n, k, m, r_del, budget) for m in order]
+            found = dict(zip(order, pool.map(_worker_search, tasks)))
+    return [found[m] for m in sizes]
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    value: int
+    witness: Family
+    exact: bool
+    instances_checked: int
+
+
+def brute_force_min_shadow(
+    n: int, k: int, m: int, r_del: int, budget: SearchBudget
+) -> BruteForceResult:
+    """Minimum |delta_r A| over size-m families, exact in exhaustive sweeps and
+    a sampled upper bound otherwise (exact=False)."""
+    (res,) = _search_sizes(n, k, r_del, [m], budget)
+    return BruteForceResult(res.value, _witness(n, k, res.codes), res.exact, res.instances)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +298,17 @@ def _min_shadow_task(args):
 def _sweep_sizes(rep, n, k, r_del, budget, expected, what) -> VerificationReport:
     """Brute-force minimum of |delta_r A| at every size m against expected(m);
     `what` names the expected value in the violation texts."""
-    if n < 0:
-        raise ValueError(f"length n must be >= 0, got {n}")
-    tasks = [(n, k, m, r_del, budget) for m in range((k + 1) ** n + 1)]
-    for m, res in _parallel_map(_min_shadow_task, tasks):
+    size = _sweep_universe(n, k)
+    for m, res in enumerate(_search_sizes(n, k, r_del, range(size + 1), budget)):
         want = expected(m)
-        rep.instances_checked += res.instances_checked
+        rep.instances_checked += res.instances
         if res.exact and res.value != want:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: brute min {res.value} != {what} {want}")
-            )
+            detail = f"size {m}: brute min {res.value} != {what} {want}"
         elif not res.exact and res.value < want:
-            rep.violations.append(
-                _fam_record(res.witness, f"size {m}: sampled family beats {what} {want}")
-            )
+            detail = f"size {m}: sampled family beats {what} {want}"
+        else:
+            continue
+        rep.violations.append(_fam_record(_witness(n, k, res.codes), detail))
     return rep
 
 
@@ -243,25 +337,27 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
     """Compare |Delta B_{r,t}| against the brute-force minimum.  A strict gap is
     an open-conjecture observation, never a violation."""
     rep = VerificationReport("conjecture1", {"n": n, "k": k, "mode": budget.mode})
+    _sweep_universe(n, k)  # refuse before building any B_{r,t}
+    cases = []
     for r in range(k + 1):
         for t in range(k + 1):
             b = extremal.family_b_rt(n, k, r, t)
-            m = len(b)
-            actual = len(shadow.delta_r(b, k)) if m else 0
-            res = brute_force_min_shadow(n, k, m, k, budget)
-            rep.instances_checked += res.instances_checked
-            if res.value < actual:
-                rep.observations.append(
-                    _fam_record(
-                        res.witness,
-                        f"r={r} t={t}: family of size {m} has Delta-shadow {res.value} "
-                        f"< |Delta B_rt| = {actual}",
-                    )
+            cases.append((r, t, len(b), len(shadow.delta_r(b, k)) if len(b) else 0))
+    results = _search_sizes(n, k, k, [m for _, _, m, _ in cases], budget)
+    for (r, t, m, actual), res in zip(cases, results):
+        rep.instances_checked += res.instances
+        if res.value < actual:
+            rep.observations.append(
+                _fam_record(
+                    _witness(n, k, res.codes),
+                    f"r={r} t={t}: family of size {m} has Delta-shadow {res.value} "
+                    f"< |Delta B_rt| = {actual}",
                 )
-            else:
-                rep.observations.append(
-                    {"detail": f"r={r} t={t}: consistent at this scale (|B|={m}, shadow {actual})"}
-                )
+            )
+        else:
+            rep.observations.append(
+                {"detail": f"r={r} t={t}: consistent at this scale (|B|={m}, shadow {actual})"}
+            )
     return rep
 
 
@@ -271,21 +367,25 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     rep = VerificationReport("a_t", {"n": n, "k": k, "mode": budget.mode})
     if k < 2:
         raise ValueError("the sub-cube check needs k >= 2")
+    cases = []
     for t in range(1, k + 1):
         at = extremal.family_a_t(n, k, t)
-        actual = len(shadow.delta_r(at, k))
+        cases.append((t, at, len(shadow.delta_r(at, k))))
+    if budget.mode == "exhaustive" and (k + 1) ** n <= EXHAUSTIVE_UNIVERSE_LIMIT:
+        results = _search_sizes(n, k, k, [t ** n for t, _, _ in cases], budget)
+    else:
+        results = [None] * len(cases)
+    for (t, at, actual), res in zip(cases, results):
         rep.instances_checked += 1
         if actual != t ** (n - 1):
             rep.violations.append(
                 _fam_record(at, f"t={t}: |Delta A_t| = {actual} != {t ** (n - 1)}")
             )
-        if budget.mode == "exhaustive" and (k + 1) ** n <= EXHAUSTIVE_UNIVERSE_LIMIT:
-            res = brute_force_min_shadow(n, k, t ** n, k, budget)
-            rep.instances_checked += res.instances_checked
+        if res is not None:
+            rep.instances_checked += res.instances
             if res.value < actual:
-                rep.violations.append(
-                    _fam_record(res.witness, f"t={t}: family beats A_t ({res.value} < {actual})")
-                )
+                detail = f"t={t}: family beats A_t ({res.value} < {actual})"
+                rep.violations.append(_fam_record(_witness(n, k, res.codes), detail))
     return rep
 
 

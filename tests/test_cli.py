@@ -137,6 +137,12 @@ class TestPipelines:
         assert (code, err) == (0, "")
         assert out.splitlines() == [f"{n} {k}", *members]
 
+    def test_initseg_at_large_k_sorts_in_linear_time(self, capsys):
+        code, out, err = run_cli(capsys, "initseg", "--n", "3", "--k", "5000", "--size", "20000")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "3 5000" and len(lines) == 20001
+
     def test_bound_command(self, tmp_path, capsys):
         src = family_file(tmp_path, "5 2\n0 0 1 2 1\n")
         code, out, _ = run_cli(capsys, "bound", "--r", "1", "--in", src, "--json")
@@ -220,6 +226,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--suite", suite, "--n", "-1")
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["at", "brt", "lleq"])
+    def test_family_negative_length(self, capsys, kind):
+        code, out, err = run_cli(
+            capsys, "family", "--kind", kind, "--n", "-1", "--k", "2",
+            "--r", "1", "--t", "1", "--s", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: length n must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("suite", ["theorem1", "theorem2", "conjecture1"])
+    def test_unenumerable_universe_is_refused(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", "30", "--k", "1")
+        assert (code, out) == (2, "")
+        assert "universe has 1073741824 > 4096 elements" in err and "Traceback" not in err
+
+    def test_largest_sweep_finishes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--n", "12", "--k", "1",
+            "--mode", "random", "--samples", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("theorem1: PASS (4097 instances, ")
 
     @pytest.mark.parametrize(
         "family,r", [("2 1\n0 1\n", "-1"), ("2 2\n", "5")], ids=["negative", "above_k"]

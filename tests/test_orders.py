@@ -227,6 +227,55 @@ class TestGeneratedOrder:
         ]
 
 
+def _mask(positions) -> int:
+    return sum(1 << i for i in positions)
+
+
+def _masks_c_key(u, k):
+    """<=_c as the tuple of colex masks of R_1, ..., R_k (1-indexed positions)."""
+    return tuple(_mask(i for i, e in enumerate(u, start=1) if e == v) for v in range(1, k + 1))
+
+
+def _masks_leq_key(x, k):
+    """<= as (zero count, tuple-of-masks key of the reduced word, zero mask)."""
+    zeros = [i for i, e in enumerate(x, start=1) if e == 0]
+    return len(zeros), _masks_c_key(tuple(e for e in x if e), k), _mask(zeros)
+
+
+def _same_order(words, key, reference):
+    """key orders `words` like `reference` does, and tells them all apart."""
+    keys = [key(w) for w in words]
+    assert len(set(keys)) == len(words)
+    assert sorted(words, key=key) == sorted(words, key=reference)
+
+
+class TestIntegerKeys:
+    """c_key and leq_key are single integers built in one pass; they order
+    words like the tuple-of-masks keys, restated here."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_small_word(self, k):
+        for n in range(7):  # universes of at most 5^6 = 15 625 words
+            words = list(itertools.product(range(k + 1), repeat=n))
+            _same_order(words, lambda x: leq_key(x, k), lambda x: _masks_leq_key(x, k))
+            free = [u for u in words if 0 not in u]
+            _same_order(free, lambda u: c_key(u, k), lambda u: _masks_c_key(u, k))
+
+    @given(st.integers(1, 10**4), st.integers(0, 5), st.data())
+    def test_pairs_at_large_k(self, k, n, data):
+        entry = st.one_of(st.integers(0, k), st.sampled_from(sorted({0, 1, k // 2, k - 1, k})))
+        x, y = (tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+        assert (leq_key(x, k) < leq_key(y, k)) == (_masks_leq_key(x, k) < _masks_leq_key(y, k))
+        assert (leq_key(x, k) == leq_key(y, k)) == (x == y)
+        u, v = (tuple(e for e in w if e) for w in (x, y))
+        if len(u) == len(v):
+            assert (c_key(u, k) < c_key(v, k)) == (_masks_c_key(u, k) < _masks_c_key(v, k))
+
+    def test_zeros_do_not_move_the_c_part(self):
+        for x in itertools.product(range(4), repeat=4):
+            assert leq_key(x, 3)[1] == c_key(tuple(e for e in x if e), 3)
+
+
 class TestReversalIsomorphism:
     """Appending the high levels to a colex piece of one level and reversing
     every sequence lands on a simplicial initial segment."""

@@ -9,13 +9,16 @@ from delshadow.extremal import min_delta_shadow_size
 from delshadow.seqcore import Family
 from delshadow.verify import (
     EXHAUSTIVE_UNIVERSE_LIMIT,
+    SWEEP_UNIVERSE_LIMIT,
     SearchBudget,
     brute_force_min_shadow,
+    check_a_t,
     check_conjecture1,
     check_lemma7,
     check_theorem1,
     check_theorem2,
     child_masks,
+    decode,
     encode,
     run_suite,
     universe_sequences,
@@ -31,6 +34,11 @@ class TestEncoding:
         for n, k in [(3, 1), (2, 2), (2, 3)]:
             codes = {encode(x, k) for x in universe_sequences(n, k)}
             assert codes == set(range((k + 1) ** n))
+
+    def test_decode_inverts_encode(self):
+        for n, k in [(0, 1), (3, 1), (2, 2), (2, 3)]:
+            for x in universe_sequences(n, k):
+                assert decode(encode(x, k), n, k) == x
 
     def test_child_masks_popcounts(self):
         masks = child_masks(2, 1, 0)
@@ -165,6 +173,117 @@ class TestSuite:
         rep = check_theorem1(2, 1, EXHAUSTIVE)
         assert rep.ok
         assert rep.instances_checked == sum(comb(4, m) for m in range(5))
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """The list of pools created, one entry per ProcessPoolExecutor."""
+    created = []
+
+    class Spy(verify.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", Spy)
+    return created
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap verify.<name>; return the list its calls append to."""
+    calls = []
+    fn = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+class TestSweepEngine:
+    """Every size search goes through one engine: in-process below
+    POOL_MIN_WORK, over a pool above it, with the same reports either way."""
+
+    BOUNDED = SearchBudget(mode="bounded", max_size=2, samples=60, rng_seed=5)
+    SWEEPS = {
+        "theorem1": lambda b: check_theorem1(3, 1, b),
+        "theorem2": lambda b: check_theorem2(3, b),
+        "conjecture1": lambda b: check_conjecture1(2, 2, b),
+        "a_t": lambda b: check_a_t(2, 2, b),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    @pytest.mark.parametrize("budget", [BOUNDED, EXHAUSTIVE], ids=["bounded", "exhaustive"])
+    def test_forced_pool_matches_one_worker(self, monkeypatch, pool_spy, name, budget):
+        check = self.SWEEPS[name]
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        serial = check(budget).to_dict(include_elapsed=False)
+        assert pool_spy == []
+        monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+        monkeypatch.setenv("DELSHADOW_THREADS", "2")
+        pooled = check(budget).to_dict(include_elapsed=False)
+        # a_t searches for minimality in exhaustive mode only.
+        pools = [] if name == "a_t" and budget is self.BOUNDED else [verify._load_worker_masks]
+        assert [kw["initializer"] for kw in pool_spy] == pools
+        assert pooled == serial
+
+    def test_pooled_witnesses_match_one_worker(self, monkeypatch, pool_spy):
+        right = extremal.min_delta_shadow_size
+        monkeypatch.setattr(extremal, "min_delta_shadow_size", lambda n, k, m: right(n, k, m) + 1)
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        serial = check_theorem1(3, 1, self.BOUNDED).to_dict(include_elapsed=False)
+        monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+        monkeypatch.setenv("DELSHADOW_THREADS", "2")
+        pooled = check_theorem1(3, 1, self.BOUNDED).to_dict(include_elapsed=False)
+        assert len(pool_spy) == 1
+        assert len(serial["violations"]) == 9
+        assert pooled == serial
+
+    @pytest.mark.parametrize("samples,pools", [(1999, 0), (2000, 1)])
+    def test_cut_off(self, monkeypatch, pool_spy, samples, pools):
+        # Five sampled sizes at (2, 1): work is 5 * SAMPLE_COST * samples.
+        assert 5 * verify.SAMPLE_COST * 2000 == verify.POOL_MIN_WORK
+        monkeypatch.setenv("DELSHADOW_THREADS", "2")
+        check_theorem1(2, 1, SearchBudget(mode="random", samples=samples))
+        assert len(pool_spy) == pools
+
+    def test_masks_built_once_and_witnesses_only_when_recorded(self, monkeypatch):
+        masks = _count_calls(monkeypatch, "child_masks")
+        witnesses = _count_calls(monkeypatch, "_witness")
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        assert check_theorem1(3, 1, self.BOUNDED).ok
+        assert check_conjecture1(2, 2, self.BOUNDED).ok
+        assert (len(masks), witnesses) == (2, [])
+
+    def test_repeated_sizes_are_searched_once_and_counted_each_time(self, monkeypatch):
+        searched = _count_calls(monkeypatch, "_search")
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        results = verify._search_sizes(2, 1, 0, [3, 1, 3], EXHAUSTIVE)
+        assert [args[3] for args in searched] == [3, 1]
+        assert [r.instances for r in results] == [4, 4, 4]
+        assert results[0] == results[2]
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: check_theorem1(30, 1, FAST_RANDOM),
+        lambda: check_theorem2(30, FAST_RANDOM),
+        lambda: check_conjecture1(30, 1, FAST_RANDOM),
+    ], ids=["theorem1", "theorem2", "conjecture1"])
+    def test_huge_universe_is_refused_before_any_work(self, monkeypatch, sweep):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for mod, attr in ((verify, "child_masks"), (extremal, "family_b_rt"),
+                          (extremal, "min_delta_shadow_size"), (shadow, "delta_r")):
+            monkeypatch.setattr(mod, attr, no_work)
+        with pytest.raises(ValueError, match=f"universe has {2 ** 30} > {SWEEP_UNIVERSE_LIMIT}"):
+            sweep()
+
+    def test_infeasible_exhaustive_sweep_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
+        with pytest.raises(ValueError, match="exhaustive search infeasible"):
+            check_theorem1(4, 2, EXHAUSTIVE)
 
 
 class TestChecksCanFail:
