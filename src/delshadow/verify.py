@@ -2,8 +2,12 @@
 
 The search core encodes each sequence as a base-(k+1) integer and precomputes,
 per universe element, a bitmask of its deletion children over the length-(n-1)
-universe.  A family's shadow size is then popcount(OR of masks), which keeps
-full 2^((k+1)^n)-subset sweeps feasible for universes of up to 27 elements.
+universe.  A family's shadow size is then popcount(OR of masks).  One engine,
+`_search_sizes`, searches the sizes of a sweep: over every m-subset where the
+budget asks for it and the universe has at most EXHAUSTIVE_UNIVERSE_LIMIT (27)
+elements, else over seeded random m-subsets, drawn by one fused loop exactly
+as `random.Random.sample` draws them.  Universes over SWEEP_UNIVERSE_LIMIT
+elements are refused before any work.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import comb
+from math import ceil, comb, inf, log
 from typing import NamedTuple
 
 from . import extremal, orders, shadow
@@ -149,13 +153,14 @@ def _witness(n: int, k: int, codes: int) -> Family:
 # Python 3.11).
 SWEEP_UNIVERSE_LIMIT = 4096
 
-# Work is counted in exhaustive instances (0.4-0.5 us each at U = 27); a
-# sampled instance, mostly `rng.sample`, costs about ten.  A two-worker pool
-# adds about 15 ms to a sweep: start, masks in each worker, task traffic and
-# shutdown (2 vCPUs, Python 3.11, fork).  Measured there, an exhaustive sweep
-# of 65 536 units took 31 ms in-process and 47 ms pooled, and a sampled one
-# of 300 000 units 146 ms and 110 ms; the two broke even near 100 000.
-SAMPLE_COST = 10
+# Work is counted in exhaustive instances (0.3-0.4 us each at U = 27); a
+# sampled instance costs about three (0.4-0.6 us at U = 4, 0.85-2.8 us for
+# m = 3..20 at U = 27).  A two-worker pool adds 15-20 ms to a sweep: start,
+# masks in each worker, task traffic and shutdown (2 vCPUs, Python 3.11,
+# fork).  Measured there, an exhaustive sweep of 65 536 units took 33 ms
+# in-process and 31 ms pooled, and sampled sweeps broke even at 30 000-40 000
+# samples at (2, 1), (3, 1) and (3, 2).
+SAMPLE_COST = 3
 POOL_MIN_WORK = 100_000
 
 
@@ -200,18 +205,15 @@ def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
 
 def _search(masks: list[int], n: int, k: int, m: int, r_del: int, budget: SearchBudget) -> _Best:
     """Least popcount of the OR of m masks: over every m-subset when exact,
-    else over `budget.samples` seeded random ones."""
+    else over `budget.samples` seeded random ones, drawn by `_sample_search`."""
     size = len(masks)
-    exact = _is_exact(budget, size, m)
-    if exact:
-        candidates = itertools.combinations(range(size), m)
-    else:
+    if not _is_exact(budget, size, m):
         rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
-        candidates = (rng.sample(range(size), m) for _ in range(budget.samples))
+        return _sample_search(masks, m, rng, budget.samples)
     best = None
     best_idx = ()
     count = 0
-    for idx in candidates:
+    for idx in itertools.combinations(range(size), m):
         acc = 0
         for i in idx:
             acc |= masks[i]
@@ -219,9 +221,66 @@ def _search(masks: list[int], n: int, k: int, m: int, r_del: int, budget: Search
         v = acc.bit_count()
         if best is None or v < best:
             best, best_idx = v, idx
-    if exact:
-        assert count == comb(size, m)
-    return _Best(best or 0, sum(1 << i for i in best_idx), exact, count)
+    assert count == comb(size, m)
+    return _Best(best or 0, sum(1 << i for i in best_idx), True, count)
+
+
+def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -> _Best:
+    """Least popcount of the OR of m masks over `samples` random m-subsets.
+
+    Each subset is the one `rng.sample(range(len(masks)), m)` would draw, from
+    the same `getrandbits` calls: this is CPython's `Random.sample` (a partial
+    Fisher-Yates shuffle over a pool for small populations, rejection into a
+    set otherwise; Knuth, TAOCP Vol. 2, 3.4.2, Algorithm P) with
+    `_randbelow_with_getrandbits` inlined, identical in Python 3.10 to 3.13.
+    Each drawn mask is OR-ed in as it is drawn.  A sample that beats the best
+    so far keeps its chosen set; the witness bitmask is built once, at the end.
+    """
+    size = len(masks)
+    getrandbits = rng.getrandbits
+    setsize = 21  # Random.sample's size of a small set minus an empty list
+    if m > 5:
+        setsize += 4 ** ceil(log(m * 3, 4))
+    best = inf
+    chosen = ()
+    if size <= setsize:
+        # Pool: the draw from the first `limit` entries is swapped to the
+        # pool's tail, so a sample's chosen set is pool[size - m:].
+        base = list(range(size))
+        tail = size - m
+        limits = range(size, tail, -1)
+        draws = list(zip(limits, map(int.bit_length, limits), range(size - 1, tail - 1, -1)))
+        for _ in range(samples):
+            pool = base[:]
+            acc = 0
+            for limit, bits, last in draws:
+                j = getrandbits(bits)
+                while j >= limit:
+                    j = getrandbits(bits)
+                x = pool[j]
+                pool[j] = pool[last]
+                pool[last] = x
+                acc |= masks[x]
+            v = acc.bit_count()
+            if v < best:
+                best, chosen = v, pool[tail:]
+    else:
+        bits = size.bit_length()
+        picks = range(m)
+        for _ in range(samples):
+            selected = set()
+            add = selected.add
+            acc = 0
+            for _ in picks:
+                j = getrandbits(bits)
+                while j >= size or j in selected:
+                    j = getrandbits(bits)
+                add(j)
+                acc |= masks[j]
+            v = acc.bit_count()
+            if v < best:
+                best, chosen = v, selected
+    return _Best(best, sum(1 << i for i in chosen), False, samples)
 
 
 # Set by the pool initializer, in worker processes only.
@@ -361,20 +420,46 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
     return rep
 
 
+# check_a_t builds every A_t, t = 1..k, and its Delta-shadow: sum of t^n
+# members, at least k and at least k^n.  Under this limit, `delshadow verify
+# --suite a_t` took 6.4 s / 109 MB at (n, k) = (18, 2), 4.5 s / 100 MB at
+# (8, 5), 3.1 s / 74 MB at (7, 6) and 1.0-1.6 s / 77 MB at (1, 1023) and
+# (3, 37) (one process, 2 vCPUs, Python 3.11).
+A_T_MEMBER_LIMIT = 1 << 19
+
+
 @_timed
 def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
-    """|Delta A_t| = t^(n-1), with exhaustive minimality where feasible."""
+    """|Delta A_t| = t^(n-1), with exhaustive minimality where feasible; an
+    observation says why when minimality is not searched."""
     rep = VerificationReport("a_t", {"n": n, "k": k, "mode": budget.mode})
     if k < 2:
         raise ValueError("the sub-cube check needs k >= 2")
+    # The sum is at least k and at least 2^n: the first two tests refuse huge
+    # inputs before any power is computed.
+    if n >= 0 and (
+        k > A_T_MEMBER_LIMIT
+        or n > A_T_MEMBER_LIMIT.bit_length()
+        or sum(t ** n for t in range(1, k + 1)) > A_T_MEMBER_LIMIT
+    ):
+        raise ValueError(
+            f"a_t infeasible: A_1..A_k at n={n}, k={k} have over {A_T_MEMBER_LIMIT} members"
+        )
     cases = []
     for t in range(1, k + 1):
         at = extremal.family_a_t(n, k, t)
         cases.append((t, at, len(shadow.delta_r(at, k))))
-    if budget.mode == "exhaustive" and (k + 1) ** n <= EXHAUSTIVE_UNIVERSE_LIMIT:
+    size = (k + 1) ** n
+    if budget.mode == "exhaustive" and size <= EXHAUSTIVE_UNIVERSE_LIMIT:
         results = _search_sizes(n, k, k, [t ** n for t, _, _ in cases], budget)
     else:
         results = [None] * len(cases)
+        why = (
+            f"mode {budget.mode!r} is not exhaustive"
+            if budget.mode != "exhaustive"
+            else f"universe has {size} > {EXHAUSTIVE_UNIVERSE_LIMIT} elements"
+        )
+        rep.observations.append({"detail": f"minimality of A_t not searched: {why}"})
     for (t, at, actual), res in zip(cases, results):
         rep.instances_checked += 1
         if actual != t ** (n - 1):

@@ -242,6 +242,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "universe has 1073741824 > 4096 elements" in err and "Traceback" not in err
 
+    def test_oversized_a_t_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "a_t", "--n", "30", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: a_t infeasible: A_1..A_k at n=30, k=2 have over 524288 members\n"
+
     def test_largest_sweep_finishes(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "theorem1", "--n", "12", "--k", "1",

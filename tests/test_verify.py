@@ -1,3 +1,4 @@
+import itertools
 import os
 from math import comb
 from unittest import mock
@@ -8,6 +9,7 @@ from delshadow import extremal, shadow, verify
 from delshadow.extremal import min_delta_shadow_size
 from delshadow.seqcore import Family
 from delshadow.verify import (
+    A_T_MEMBER_LIMIT,
     EXHAUSTIVE_UNIVERSE_LIMIT,
     SWEEP_UNIVERSE_LIMIT,
     SearchBudget,
@@ -241,10 +243,11 @@ class TestSweepEngine:
         assert len(serial["violations"]) == 9
         assert pooled == serial
 
-    @pytest.mark.parametrize("samples,pools", [(1999, 0), (2000, 1)])
+    @pytest.mark.parametrize("samples,pools", [(6666, 0), (6667, 1)])
     def test_cut_off(self, monkeypatch, pool_spy, samples, pools):
         # Five sampled sizes at (2, 1): work is 5 * SAMPLE_COST * samples.
-        assert 5 * verify.SAMPLE_COST * 2000 == verify.POOL_MIN_WORK
+        cost = 5 * verify.SAMPLE_COST
+        assert cost * 6666 < verify.POOL_MIN_WORK <= cost * 6667
         monkeypatch.setenv("DELSHADOW_THREADS", "2")
         check_theorem1(2, 1, SearchBudget(mode="random", samples=samples))
         assert len(pool_spy) == pools
@@ -284,6 +287,96 @@ class TestSweepEngine:
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
         with pytest.raises(ValueError, match="exhaustive search infeasible"):
             check_theorem1(4, 2, EXHAUSTIVE)
+
+
+def _reference_search(masks, n, k, m, r_del, budget):
+    """Reference for verify._search: every m-subset from
+    itertools.combinations when exact, else `rng.sample(range(size), m)`."""
+    size = len(masks)
+    exact = verify._is_exact(budget, size, m)
+    if exact:
+        candidates = itertools.combinations(range(size), m)
+    else:
+        rng = verify._sample_rng(budget.rng_seed, n, k, m, r_del)
+        candidates = (rng.sample(range(size), m) for _ in range(budget.samples))
+    best, best_idx, count = None, (), 0
+    for idx in candidates:
+        acc = 0
+        for i in idx:
+            acc |= masks[i]
+        count += 1
+        v = acc.bit_count()
+        if best is None or v < best:
+            best, best_idx = v, idx
+    return verify._Best(best or 0, sum(1 << i for i in best_idx), exact, count)
+
+
+class TestSampleKernel:
+    """The fused sampler draws the subsets rng.sample draws, so every search
+    result equals the reference field by field.  Random.sample keeps a pool
+    while U <= 21 + (4^ceil(log4(3m)) for m > 5), else a set: at U = 27 it
+    switches from the set (m <= 5) to the pool (m >= 6)."""
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("mode", ["random", "bounded"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_every_size_matches_rng_sample(self, n, k, mode, seed):
+        budget = SearchBudget(mode=mode, max_size=1, samples=25, rng_seed=seed)
+        for r_del in range(k + 1):
+            masks = child_masks(n, k, r_del)
+            for m in range(len(masks) + 1):
+                got = verify._search(masks, n, k, m, r_del, budget)
+                assert got == _reference_search(masks, n, k, m, r_del, budget), (r_del, m)
+
+    @pytest.mark.parametrize("n,sizes", [
+        (7, [1, 5, 6, 42, 64, 127, 128]),
+        (9, [1, 6, 43, 86, 256, 511, 512]),
+    ])
+    def test_universes_past_the_pool_size(self, n, sizes):
+        budget = SearchBudget(mode="random", samples=3, rng_seed=2)
+        masks = child_masks(n, 1, 0)
+        for m in sizes:
+            assert verify._search(masks, n, 1, m, 0, budget) == _reference_search(
+                masks, n, 1, m, 0, budget
+            ), m
+
+
+class TestSubcubeCheck:
+    """check_a_t refuses sub-cubes too large to build and says when it skips
+    the minimality search."""
+
+    @pytest.mark.parametrize("n,k", [(30, 2), (1, 10 ** 9), (0, 10 ** 9)])
+    def test_oversized_a_t_is_refused_before_any_work(self, monkeypatch, n, k):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(extremal, "family_a_t", no_work)
+        monkeypatch.setattr(shadow, "delta_r", no_work)
+        with pytest.raises(ValueError, match=f"have over {A_T_MEMBER_LIMIT} members"):
+            check_a_t(n, k, FAST_RANDOM)
+
+    def test_cut_off(self, monkeypatch):
+        # A_1, A_2 at n = 3 have 1 + 8 members; at n = 1, k = 4, 1 + 2 + 3 + 4.
+        monkeypatch.setattr(verify, "A_T_MEMBER_LIMIT", 9)
+        assert check_a_t(3, 2, FAST_RANDOM).ok
+        with pytest.raises(ValueError, match="A_1..A_k at n=1, k=4 have over 9 members"):
+            check_a_t(1, 4, FAST_RANDOM)
+
+    @pytest.mark.parametrize("n,k,budget,why", [
+        (2, 2, FAST_RANDOM, "mode 'random' is not exhaustive"),
+        (2, 2, SearchBudget(mode="bounded"), "mode 'bounded' is not exhaustive"),
+        (3, 3, EXHAUSTIVE, f"universe has 64 > {EXHAUSTIVE_UNIVERSE_LIMIT} elements"),
+    ])
+    def test_skipped_minimality_is_observed(self, n, k, budget, why):
+        rep = check_a_t(n, k, budget)
+        assert rep.ok
+        assert rep.observations == [{"detail": f"minimality of A_t not searched: {why}"}]
+        assert rep.instances_checked == k
+
+    def test_searched_minimality_adds_no_observation(self):
+        rep = check_a_t(2, 2, EXHAUSTIVE)
+        assert (rep.ok, rep.observations) == (True, [])
+        assert rep.instances_checked == 2 + comb(9, 1) + comb(9, 4)
 
 
 class TestChecksCanFail:
