@@ -3,11 +3,13 @@
 The search core encodes each sequence as a base-(k+1) integer and precomputes,
 per universe element, a bitmask of its deletion children over the length-(n-1)
 universe.  A family's shadow size is then popcount(OR of masks).  One engine,
-`_search_sizes`, searches the sizes of a sweep: over every m-subset where the
-budget asks for it and the universe has at most EXHAUSTIVE_UNIVERSE_LIMIT (27)
-elements, else over seeded random m-subsets, drawn by one fused loop exactly
-as `random.Random.sample` draws them.  Universes over SWEEP_UNIVERSE_LIMIT
-elements are refused before any work.
+`_search_sizes`, searches the sizes of a sweep.  Where the budget asks for an
+exact size and the universe has at most EXHAUSTIVE_UNIVERSE_LIMIT (27)
+elements, one dynamic programme over (members chosen, OR of their masks),
+`_exact_search`, decides every exact size of the sweep at once over all its
+m-subsets.  Other sizes are searched over seeded random m-subsets, drawn by
+one fused loop exactly as `random.Random.sample` draws them.  Universes over
+SWEEP_UNIVERSE_LIMIT elements are refused before any work.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ EXHAUSTIVE_UNIVERSE_LIMIT = 27
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """How hard to search: 'exhaustive' visits every subset, 'bounded' is
+    """How hard to search: 'exhaustive' decides over every subset, 'bounded' is
     exhaustive for small (or co-small) sizes plus seeded random samples for the
     rest, 'random' samples only."""
 
@@ -153,22 +155,22 @@ def _witness(n: int, k: int, codes: int) -> Family:
 # Python 3.11).
 SWEEP_UNIVERSE_LIMIT = 4096
 
-# Work is counted in exhaustive instances (0.3-0.4 us each at U = 27); a
-# sampled instance costs about three (0.4-0.6 us at U = 4, 0.85-2.8 us for
-# m = 3..20 at U = 27).  A two-worker pool adds 15-20 ms to a sweep: start,
-# masks in each worker, task traffic and shutdown (2 vCPUs, Python 3.11,
-# fork).  Measured there, an exhaustive sweep of 65 536 units took 33 ms
-# in-process and 31 ms pooled, and sampled sweeps broke even at 30 000-40 000
-# samples at (2, 1), (3, 1) and (3, 2).
-SAMPLE_COST = 3
-POOL_MIN_WORK = 100_000
+# A sampled instance costs 0.4-0.6 us at U = 4 and 0.85-2.8 us for m = 3..20
+# at U = 27; a two-worker pool adds 15-20 ms to a sweep: start, masks in each
+# worker, task traffic and shutdown (2 vCPUs, Python 3.11, fork).  Measured
+# there, sampled sweeps broke even at 30 000-40 000 samples at (2, 1), (3, 1)
+# and (3, 2).  Exact sizes never go to the pool: the DP decides all of them in
+# 5-8 ms at U = 27.
+POOL_MIN_SAMPLES = 33_334
 
 
 class _Best(NamedTuple):
     """One size's search result: the least shadow found, a family attaining
-    it as a bitmask of member codes, whether the search was exhaustive, and
-    its instance count.  A mask, not a tuple of codes, because a sweep keeps
-    one result per size: at (12, 1) the tuples of 4097 sizes held 357 MB."""
+    it as a bitmask of member codes, whether the search was exact, and its
+    instance count: the samples drawn, or for an exact size the C(U, m)
+    m-subsets that the DP decides over.  A mask, not a tuple of codes,
+    because a sweep keeps one result per size: at (12, 1) the tuples of 4097
+    sizes held 357 MB."""
 
     value: int
     codes: int
@@ -189,6 +191,12 @@ def _sweep_universe(n: int, k: int) -> int:
         raise ValueError(f"length n must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
+    # (k+1)^n >= 2^n, so both tests imply an oversized universe; they refuse a
+    # huge n or k before a power that could take hours is computed.
+    if n > SWEEP_UNIVERSE_LIMIT.bit_length() or (n >= 1 and k + 1 > SWEEP_UNIVERSE_LIMIT):
+        raise ValueError(
+            f"sweep infeasible: universe has {k + 1}^{n} > {SWEEP_UNIVERSE_LIMIT} elements"
+        )
     size = (k + 1) ** n
     if size > SWEEP_UNIVERSE_LIMIT:
         raise ValueError(
@@ -204,25 +212,52 @@ def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
 
 
 def _search(masks: list[int], n: int, k: int, m: int, r_del: int, budget: SearchBudget) -> _Best:
-    """Least popcount of the OR of m masks: over every m-subset when exact,
-    else over `budget.samples` seeded random ones, drawn by `_sample_search`."""
+    """Least popcount of the OR of m masks: when exact, over every m-subset,
+    as decided by `_exact_search`; else over `budget.samples` seeded random
+    ones, drawn by `_sample_search`."""
+    if _is_exact(budget, len(masks), m):
+        return _exact_search(masks, m)[m]
+    rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
+    return _sample_search(masks, m, rng, budget.samples)
+
+
+def _exact_search(masks: list[int], top: int) -> list[_Best]:
+    """Least popcount of the OR of j masks over every j-subset, j = 0..top,
+    each with the lexicographically first index tuple attaining it: what a
+    scan of itertools.combinations(range(U), j) keeping strict improvements
+    finds.
+
+    One dynamic programme over the elements from the last to the first.  A
+    state is (j chosen, OR of their masks), so states are at most
+    (top + 1) * 2^bits for masks of `bits` bits (9 at U = 27), and each keeps
+    the lex-first witness bitmask that reaches it.  Of two j-subsets, the
+    lex-first holds the lowest element of their symmetric difference.  So
+    taking element s, the lowest so far, always beats skipping it, and two
+    take moves into one state are told apart by the lowest bit of their
+    witnesses' symmetric difference.
+    """
     size = len(masks)
-    if not _is_exact(budget, size, m):
-        rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
-        return _sample_search(masks, m, rng, budget.samples)
-    best = None
-    best_idx = ()
-    count = 0
-    for idx in itertools.combinations(range(size), m):
-        acc = 0
-        for i in idx:
-            acc |= masks[i]
-        count += 1
-        v = acc.bit_count()
-        if best is None or v < best:
-            best, best_idx = v, idx
-    assert count == comb(size, m)
-    return _Best(best or 0, sum(1 << i for i in best_idx), True, count)
+    layers = [{0: 0}] + [{} for _ in range(top)]
+    for s in range(size - 1, -1, -1):
+        mask, bit = masks[s], 1 << s
+        # Downwards in j, so each take move reads layer j - 1 before s joins it.
+        for j in range(min(top, size - s), 0, -1):
+            dst = layers[j]
+            for acc, wit in layers[j - 1].items():
+                acc |= mask
+                wit |= bit
+                old = dst.get(acc)
+                if old is None or wit & (d := wit ^ old) & -d:
+                    dst[acc] = wit
+    results = []
+    for j, layer in enumerate(layers):
+        value, codes = inf, 0
+        for acc, wit in layer.items():
+            v = acc.bit_count()
+            if v < value or v == value and wit & (d := wit ^ codes) & -d:
+                value, codes = v, wit
+        results.append(_Best(value, codes, True, comb(size, j)))
+    return results
 
 
 def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -> _Best:
@@ -234,7 +269,8 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -
     set otherwise; Knuth, TAOCP Vol. 2, 3.4.2, Algorithm P) with
     `_randbelow_with_getrandbits` inlined, identical in Python 3.10 to 3.13.
     Each drawn mask is OR-ed in as it is drawn.  A sample that beats the best
-    so far keeps its chosen set; the witness bitmask is built once, at the end.
+    so far keeps its chosen set; the witness bitmask is built once, at the end,
+    in O(m + U) by setting bits in a bytearray.
     """
     size = len(masks)
     getrandbits = rng.getrandbits
@@ -280,7 +316,10 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -
             v = acc.bit_count()
             if v < best:
                 best, chosen = v, selected
-    return _Best(best, sum(1 << i for i in chosen), False, samples)
+    witness = bytearray(size // 8 + 1)
+    for i in chosen:
+        witness[i >> 3] |= 1 << (i & 7)
+    return _Best(best, int.from_bytes(witness, "little"), False, samples)
 
 
 # Set by the pool initializer, in worker processes only.
@@ -300,36 +339,43 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
     """Search every size in `sizes` and return one result per size, in order.
 
     Repeated sizes are searched once: the search of a size is deterministic.
-    A sweep whose estimated work is under POOL_MIN_WORK runs in-process;
-    larger ones are spread over a process pool, largest first, with the masks
-    built once per worker.  Every refusal comes before any work.
+    All exact sizes are decided in-process by one `_exact_search`.  Sampled
+    sizes with fewer than POOL_MIN_SAMPLES samples in total run in-process;
+    more are spread over a process pool, largest first, with the masks built
+    once per worker.  Every refusal comes before any work.
     """
     size = _sweep_universe(n, k)
     distinct = list(dict.fromkeys(sizes))
-    work = {}
+    exact, sampled = [], []
     for m in distinct:
         if not (0 <= m <= size):
             raise ValueError(f"size {m} not in [0, {size}]")
         if not _is_exact(budget, size, m):
-            work[m] = SAMPLE_COST * budget.samples
+            sampled.append(m)
         elif size > EXHAUSTIVE_UNIVERSE_LIMIT:
             raise ValueError(
                 f"exhaustive search infeasible: universe has {size} > "
                 f"{EXHAUSTIVE_UNIVERSE_LIMIT} elements"
             )
         else:
-            work[m] = comb(size, m)
-    workers = min(worker_count(), len(distinct))
-    if workers <= 1 or sum(work.values()) < POOL_MIN_WORK:
+            exact.append(m)
+    workers = min(worker_count(), len(sampled))
+    pooled = workers > 1 and len(sampled) * budget.samples >= POOL_MIN_SAMPLES
+    found = {}
+    if exact or not pooled:
         masks = child_masks(n, k, r_del)
-        found = {m: _search(masks, n, k, m, r_del, budget) for m in distinct}
-    else:
-        order = sorted(distinct, key=lambda m: (work[m], m), reverse=True)
+    if exact:
+        decided = _exact_search(masks, max(exact))
+        found.update((m, decided[m]) for m in exact)
+    if pooled:
+        order = sorted(sampled, reverse=True)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_load_worker_masks, initargs=(n, k, r_del)
         ) as pool:
             tasks = [(n, k, m, r_del, budget) for m in order]
-            found = dict(zip(order, pool.map(_worker_search, tasks)))
+            found.update(zip(order, pool.map(_worker_search, tasks)))
+    else:
+        found.update((m, _search(masks, n, k, m, r_del, budget)) for m in sampled)
     return [found[m] for m in sizes]
 
 

@@ -82,6 +82,9 @@ def test_03_theorem1_ternary():
         rep = check_theorem1(2, 2, EXHAUSTIVE)
         assert rep.ok, rep.to_dict()
         assert rep.instances_checked == 2 ** 9
+        rep = check_theorem1(3, 2, EXHAUSTIVE)
+        assert rep.ok, rep.to_dict()
+        assert rep.instances_checked == 2 ** 27
 
         budget = SearchBudget(mode="bounded", max_size=6, samples=100_000, rng_seed=0)
         rep = check_theorem1(3, 2, budget)
@@ -185,14 +188,17 @@ def test_11_subcube_extremality_and_open_question():
                 for t in range(1, k + 1):
                     at = family_a_t(n, k, t)
                     assert len(delta_r(at, k)) == t ** (n - 1)
-        rep = check_a_t(2, 2, EXHAUSTIVE)
-        assert rep.ok, rep.to_dict()
+        for n in (2, 3):
+            rep = check_a_t(n, 2, EXHAUSTIVE)
+            assert rep.ok, rep.to_dict()
+            assert rep.observations == []
         # the open-question checker reports, never fails
         rep22 = check_conjecture1(2, 2, EXHAUSTIVE)
         rep32 = check_conjecture1(
             3, 2, SearchBudget(mode="bounded", max_size=3, samples=2000, rng_seed=0)
         )
-        for rep in (rep22, rep32):
+        rep32_exact = check_conjecture1(3, 2, EXHAUSTIVE)
+        for rep in (rep22, rep32, rep32_exact):
             assert rep.ok
             assert rep.observations
 

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from delshadow import extremal
+from delshadow import extremal, verify
 from delshadow.cli import build_parser, main
 from delshadow.famio import FamilyFormatError, read_family, write_family
 from delshadow.orders import initial_segment_leq
@@ -240,7 +240,16 @@ class TestExitCodes:
     def test_unenumerable_universe_is_refused(self, capsys, suite):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", "30", "--k", "1")
         assert (code, out) == (2, "")
-        assert "universe has 1073741824 > 4096 elements" in err and "Traceback" not in err
+        assert "universe has 2^30 > 4096 elements" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["theorem1", "theorem2", "conjecture1"])
+    def test_huge_length_is_refused_before_any_power(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--n", "100000000", "--k", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "sweep infeasible" in err and "Traceback" not in err
 
     def test_oversized_a_t_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "a_t", "--n", "30", "--k", "2")

@@ -205,8 +205,9 @@ def _count_calls(monkeypatch, name):
 
 
 class TestSweepEngine:
-    """Every size search goes through one engine: in-process below
-    POOL_MIN_WORK, over a pool above it, with the same reports either way."""
+    """Every size search goes through one engine: exact sizes in-process by
+    one DP, sampled sizes in-process below POOL_MIN_SAMPLES and over a pool
+    above it, with the same reports either way."""
 
     BOUNDED = SearchBudget(mode="bounded", max_size=2, samples=60, rng_seed=5)
     SWEEPS = {
@@ -223,11 +224,13 @@ class TestSweepEngine:
         monkeypatch.setenv("DELSHADOW_THREADS", "1")
         serial = check(budget).to_dict(include_elapsed=False)
         assert pool_spy == []
-        monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(verify, "POOL_MIN_SAMPLES", 0)
         monkeypatch.setenv("DELSHADOW_THREADS", "2")
         pooled = check(budget).to_dict(include_elapsed=False)
-        # a_t searches for minimality in exhaustive mode only.
-        pools = [] if name == "a_t" and budget is self.BOUNDED else [verify._load_worker_masks]
+        # Only sampled sizes go to the pool; a_t searches minimality in
+        # exhaustive mode only, so it never samples.
+        sampled = budget is self.BOUNDED and name != "a_t"
+        pools = [verify._load_worker_masks] if sampled else []
         assert [kw["initializer"] for kw in pool_spy] == pools
         assert pooled == serial
 
@@ -236,7 +239,7 @@ class TestSweepEngine:
         monkeypatch.setattr(extremal, "min_delta_shadow_size", lambda n, k, m: right(n, k, m) + 1)
         monkeypatch.setenv("DELSHADOW_THREADS", "1")
         serial = check_theorem1(3, 1, self.BOUNDED).to_dict(include_elapsed=False)
-        monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(verify, "POOL_MIN_SAMPLES", 0)
         monkeypatch.setenv("DELSHADOW_THREADS", "2")
         pooled = check_theorem1(3, 1, self.BOUNDED).to_dict(include_elapsed=False)
         assert len(pool_spy) == 1
@@ -245,11 +248,19 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("samples,pools", [(6666, 0), (6667, 1)])
     def test_cut_off(self, monkeypatch, pool_spy, samples, pools):
-        # Five sampled sizes at (2, 1): work is 5 * SAMPLE_COST * samples.
-        cost = 5 * verify.SAMPLE_COST
-        assert cost * 6666 < verify.POOL_MIN_WORK <= cost * 6667
+        # Five sampled sizes at (2, 1): 5 * samples samples in all.
+        assert 5 * 6666 < verify.POOL_MIN_SAMPLES <= 5 * 6667
         monkeypatch.setenv("DELSHADOW_THREADS", "2")
         check_theorem1(2, 1, SearchBudget(mode="random", samples=samples))
+        assert len(pool_spy) == pools
+
+    @pytest.mark.parametrize("samples,pools", [(16666, 0), (16667, 1)])
+    def test_cut_off_counts_only_sampled_sizes(self, monkeypatch, pool_spy, samples, pools):
+        # Sizes 1 and 2 are sampled, size 0 is exact: 2 * 16667 == POOL_MIN_SAMPLES.
+        assert 2 * 16667 == verify.POOL_MIN_SAMPLES
+        monkeypatch.setenv("DELSHADOW_THREADS", "2")
+        budget = SearchBudget(mode="bounded", max_size=0, samples=samples)
+        verify._search_sizes(2, 1, 0, [1, 2, 0], budget)
         assert len(pool_spy) == pools
 
     def test_masks_built_once_and_witnesses_only_when_recorded(self, monkeypatch):
@@ -261,11 +272,17 @@ class TestSweepEngine:
         assert (len(masks), witnesses) == (2, [])
 
     def test_repeated_sizes_are_searched_once_and_counted_each_time(self, monkeypatch):
+        decided = _count_calls(monkeypatch, "_exact_search")
         searched = _count_calls(monkeypatch, "_search")
         monkeypatch.setenv("DELSHADOW_THREADS", "1")
         results = verify._search_sizes(2, 1, 0, [3, 1, 3], EXHAUSTIVE)
-        assert [args[3] for args in searched] == [3, 1]
+        assert [args[1] for args in decided] == [3]
+        assert searched == []
         assert [r.instances for r in results] == [4, 4, 4]
+        assert results[0] == results[2]
+        results = verify._search_sizes(2, 1, 0, [3, 1, 3], FAST_RANDOM)
+        assert [args[3] for args in searched] == [3, 1]
+        assert [r.instances for r in results] == [50, 50, 50]
         assert results[0] == results[2]
 
     @pytest.mark.parametrize("sweep", [
@@ -280,8 +297,24 @@ class TestSweepEngine:
         for mod, attr in ((verify, "child_masks"), (extremal, "family_b_rt"),
                           (extremal, "min_delta_shadow_size"), (shadow, "delta_r")):
             monkeypatch.setattr(mod, attr, no_work)
-        with pytest.raises(ValueError, match=f"universe has {2 ** 30} > {SWEEP_UNIVERSE_LIMIT}"):
+        with pytest.raises(ValueError, match=f"universe has 2\\^30 > {SWEEP_UNIVERSE_LIMIT}"):
             sweep()
+
+    @pytest.mark.parametrize("n,k,refusal", [
+        (12, 1, None),
+        (13, 1, "universe has 8192 > 4096"),
+        (14, 1, "universe has 2\\^14 > 4096"),
+        (1, 4095, None),
+        (1, 4096, "universe has 4097\\^1 > 4096"),
+        (0, 10 ** 100, None),
+        (7, 3, "universe has 16384 > 4096"),
+    ])
+    def test_universe_limit_is_decided_before_any_large_power(self, n, k, refusal):
+        if refusal is None:
+            assert verify._sweep_universe(n, k) == (k + 1) ** n
+        else:
+            with pytest.raises(ValueError, match=f"sweep infeasible: {refusal} elements"):
+                verify._sweep_universe(n, k)
 
     def test_infeasible_exhaustive_sweep_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
@@ -339,6 +372,30 @@ class TestSampleKernel:
             assert verify._search(masks, n, 1, m, 0, budget) == _reference_search(
                 masks, n, 1, m, 0, budget
             ), m
+
+
+def _enumerable_sizes(size):
+    """The sizes m with C(size, m) <= 20 475: the reference scans at most
+    that many subsets per size (every size for U <= 16)."""
+    return [m for m in range(size + 1) if comb(size, m) <= 20_475]
+
+
+class TestExactSearch:
+    """One DP decides every exact size as the combinations scan does: the
+    least popcount, the lex-first witness attaining it and C(U, m) instances."""
+
+    @pytest.mark.parametrize("n,k", [
+        (1, 1), (1, 5), (2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (2, 4), (3, 2),
+    ])
+    def test_every_size_matches_the_combinations_scan(self, n, k):
+        for r_del in range(k + 1):
+            masks = child_masks(n, k, r_del)
+            decided = verify._exact_search(masks, len(masks))
+            assert len(decided) == len(masks) + 1
+            for m in _enumerable_sizes(len(masks)):
+                want = _reference_search(masks, n, k, m, r_del, EXHAUSTIVE)
+                assert decided[m] == want, (r_del, m)
+                assert verify._search(masks, n, k, m, r_del, EXHAUSTIVE) == want, (r_del, m)
 
 
 class TestSubcubeCheck:
