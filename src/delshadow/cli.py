@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -116,13 +116,12 @@ def co_initial_ones_count(n: int, r: int, m: int) -> int:
 
 
 def _validate_compress_words(s: Seq, t: Seq, n: int, k: int) -> None:
+    # compress trusts its output: these checks are what keep its members valid.
     for w in (s, t):
-        if 0 in w:
-            raise ValueError(f"component label {w} must be zero-free")
+        if not all(1 <= e <= k for e in w):
+            raise ValueError(f"component label {w} must have its entries in [1, {k}]")
         if len(w) > n:
             raise ValueError(f"component label {w} longer than n={n}")
-        if any(e > k for e in w):
-            raise ValueError(f"component label {w} exceeds alphabet ceiling {k}")
     if len(s) == len(t):
         # Mass packs into C_s first; any distinct same-length pair is valid.
         if s == t:
@@ -138,19 +137,15 @@ def compress(a: Family, s: Seq, t: Seq) -> Family:
     """The s,t-compression: pack A's mass in C_s u C_t into C_s first, then C_t,
     each as a colex initial segment of zero-position sets."""
     s, t = tuple(s), tuple(t)
-    _validate_compress_words(s, t, a.n, a.k)
-    in_s = [x for x in a.members if reduced(x) == s]
-    in_t = [x for x in a.members if reduced(x) == t]
-    q = len(in_s) + len(in_t)
-    cap_s = comb(a.n, a.n - len(s))
-    fill_s = min(q, cap_s)
-    fill_t = q - fill_s
-    out = set(a.members) - set(in_s) - set(in_t)
-    for zeros in colex_initial_positions(a.n, a.n - len(s), fill_s):
-        out.add(place_label(s, zeros, a.n))
-    for zeros in colex_initial_positions(a.n, a.n - len(t), fill_t):
-        out.add(place_label(t, zeros, a.n))
-    return Family.of(a.n, a.k, out)
+    n = a.n
+    _validate_compress_words(s, t, n, a.k)
+    out = {x for x in a.members if reduced(x) not in (s, t)}
+    q = len(a.members) - len(out)  # A's mass in C_s u C_t
+    fill_s = min(q, comb(n, n - len(s)))
+    for label, fill in ((s, fill_s), (t, q - fill_s)):
+        out.update(place_label(label, zeros, n)
+                   for zeros in colex_initial_positions(n, n - len(label), fill))
+    return Family(n, a.k, frozenset(out))
 
 
 def canonicalize(a: Family) -> Family:
@@ -231,7 +226,7 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
         for label, c in counts.items()
         for zeros in colex_initial_positions(n, n - len(label), c)
     ]
-    return Family.of(n, k, members), v_trace, w_trace
+    return Family(n, k, frozenset(members)), v_trace, w_trace
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def read_family(stream) -> Family:
         members.append(tuple(values))
     if header is None:
         raise FamilyFormatError("missing `n k` header line")
-    return Family.of(n, k, members)
+    return Family(n, k, frozenset(members))
 
 
 def write_family(a: Family, stream) -> None:

@@ -16,7 +16,7 @@ Seq = tuple[int, ...]
 
 def reduced(x: Seq) -> Seq:
     """The reduced word of x: all zero coordinates removed, order preserved."""
-    return tuple(e for e in x if e != 0)
+    return tuple(filter(None, x))
 
 
 def positions_of(x: Seq, value: int) -> frozenset[int]:
@@ -72,7 +72,10 @@ def stats(x: Seq) -> SequenceStats:
 
 @dataclass(frozen=True)
 class Family:
-    """A finite set of equal-length sequences over a common alphabet {0,...,k}."""
+    """A finite set of equal-length sequences over a common alphabet {0,...,k}.
+
+    `Family.of` validates its input; the plain constructor trusts its caller.
+    """
 
     n: int
     k: int

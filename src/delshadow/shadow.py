@@ -22,7 +22,7 @@ def delta_r(a: Family, r_del: int) -> Family:
     out: set[Seq] = set()
     for x in a.members:
         out |= seq_children(x, r_del)
-    return Family.of(a.n - 1, a.k, out)
+    return Family(a.n - 1, a.k, frozenset(out))
 
 
 def delta(a: Family) -> Family:

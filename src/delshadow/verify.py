@@ -9,7 +9,10 @@ elements, one dynamic programme over (members chosen, OR of their masks),
 `_exact_search`, decides every exact size of the sweep at once over all its
 m-subsets.  Other sizes are searched over seeded random m-subsets, drawn by
 one fused loop exactly as `random.Random.sample` draws them.  Universes over
-SWEEP_UNIVERSE_LIMIT elements are refused before any work.
+SWEEP_UNIVERSE_LIMIT elements are refused before any work.  The lemma and
+proposition sweeps read shadow sizes off the same child masks; there `Family`
+is built only as the input of the system under test or as a witness, with
+the plain, trusting constructor.
 """
 from __future__ import annotations
 
@@ -140,10 +143,16 @@ def child_masks(n: int, k: int, r_del: int) -> list[int]:
     return masks
 
 
+def _shadow_masks(n: int, k: int, r_del: int) -> dict[Seq, int]:
+    """Each sequence of {0,...,k}^n, in code order, mapped to its child mask."""
+    return dict(zip(universe_sequences(n, k), child_masks(n, k, r_del)))
+
+
 def _witness(n: int, k: int, codes: int) -> Family:
     """The family of the universe members whose codes are the set bits of
     `codes`."""
-    return Family.of(n, k, (decode(i, n, k) for i in range(codes.bit_length()) if codes >> i & 1))
+    bits = range(codes.bit_length())
+    return Family(n, k, frozenset(decode(i, n, k) for i in bits if codes >> i & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +439,11 @@ def check_theorem1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
 def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     """Simplicial initial segments minimise the full deletion shadow on {0,1}^n."""
     rep = VerificationReport("theorem2", {"n": n, "k": 1, "mode": budget.mode})
+    _sweep_universe(n, 1)  # refuse before sorting {0,1}^n
+    order = orders.simplicial_sorted(n)  # each segment is a prefix
 
     def seg_shadow(m):
-        return len(shadow.delta_r(orders.simplicial_initial_segment(n, m), 1)) if m else 0
+        return len(shadow.delta_r(Family(n, 1, frozenset(order[:m])), 1)) if m else 0
 
     return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow, "simplicial")
 
@@ -524,34 +535,36 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
 # Lemma and proposition sweeps
 
 
+def _shadow_size(masks, keys) -> int:
+    """|delta_r A|: the popcount of the OR of masks[x] over A's members or codes x."""
+    acc = 0
+    for key in keys:
+        acc |= masks[key]
+    return acc.bit_count()
+
+
+def _check_colex_minima(rep, masks, n, r, where, what) -> None:
+    """The least shadow of every m-subset of the members with child masks
+    `masks`, m >= 1, decided by `_exact_search`, against the colex count."""
+    for m, best in enumerate(_exact_search(masks, len(masks))[1:], start=1):
+        rep.instances_checked += best.instances
+        expected = extremal.ones_count_colex(n, r, m)
+        if best.value != expected:
+            rep.violations.append(
+                {"detail": f"{where} m={m}: brute {best.value} != {what}{expected}"}
+            )
+
+
 @_timed
 def check_lemma3(budget: SearchBudget) -> VerificationReport:
     """Colex initial segments minimise delta inside one {0,1}^n level."""
     rep = VerificationReport("lemma3", {"n_max": 4})
     for n in range(1, 5):
-        universe = universe_sequences(n, 1)
-        masks = child_masks(n, 1, 0)
+        masks = _shadow_masks(n, 1, 0)
         for r in range(1, n + 1):
-            level = [i for i, x in enumerate(universe) if zero_count(x) == r]
-            for m in range(1, len(level) + 1):
-                best = min(
-                    _or_all(masks, idx).bit_count()
-                    for idx in itertools.combinations(level, m)
-                )
-                rep.instances_checked += comb(len(level), m)
-                expected = extremal.ones_count_colex(n, r, m)
-                if best != expected:
-                    rep.violations.append(
-                        {"detail": f"n={n} r={r} m={m}: brute {best} != colex count {expected}"}
-                    )
+            level = [mask for x, mask in masks.items() if zero_count(x) == r]
+            _check_colex_minima(rep, level, n, r, f"n={n} r={r}", "colex count ")
     return rep
-
-
-def _or_all(masks, idx):
-    acc = 0
-    for i in idx:
-        acc |= masks[i]
-    return acc
 
 
 def colex_level_shadow_sizes(n: int, r: int) -> list[int]:
@@ -592,23 +605,11 @@ def check_lemma6(budget: SearchBudget) -> VerificationReport:
     rep = VerificationReport("lemma6", {"n_max": 4, "k_max": 2})
     for n in range(1, 5):
         for k in (1, 2):
+            masks = _shadow_masks(n, k, 0)
             for zc in range(1, n + 1):
                 for comp in components(n, k, zc):
-                    members = sorted(comp.members())
-                    for m in range(1, len(members) + 1):
-                        best = min(
-                            len(shadow.delta_r(Family.of(n, k, sub), 0))
-                            for sub in itertools.combinations(members, m)
-                        )
-                        rep.instances_checked += comb(len(members), m)
-                        expected = extremal.ones_count_colex(n, zc, m)
-                        if best != expected:
-                            rep.violations.append(
-                                {
-                                    "detail": f"n={n} k={k} label={comp.label} m={m}: "
-                                    f"brute {best} != {expected}"
-                                }
-                            )
+                    level = [masks[x] for x in comp.members()]
+                    _check_colex_minima(rep, level, n, zc, f"n={n} k={k} label={comp.label}", "")
     return rep
 
 
@@ -621,25 +622,19 @@ def _compression_pairs(n: int, k: int, cross_level: bool):
     return [(s, t) for labels in levels for i, s in enumerate(labels) for t in labels[i + 1:]]
 
 
-def _sweep_compress(rep, families, pairs, label):
+def _sweep_compress(rep, masks, families, pairs, label):
+    """|delta compress(A, s, t)| <= |delta A|, both from radius-0 child masks."""
     for a in families:
-        base = len(shadow.delta_r(a, 0)) if a.n else 0
+        base = _shadow_size(masks, a.members)
         for s, t in pairs:
             b = extremal.compress(a, s, t)
             rep.instances_checked += 1
             if len(b) != len(a):
                 rep.violations.append(_fam_record(a, f"{label}: compress changed cardinality"))
-            if len(shadow.delta_r(b, 0)) > base:
+            if _shadow_size(masks, b.members) > base:
                 rep.violations.append(
                     _fam_record(a, f"{label}: compress by s={s} t={t} grew the shadow")
                 )
-
-
-def _all_families(n: int, k: int):
-    universe = universe_sequences(n, k)
-    for m in range(len(universe) + 1):
-        for sub in itertools.combinations(universe, m):
-            yield Family.of(n, k, sub)
 
 
 def _random_label(rng: random.Random, k: int, length: int) -> Seq:
@@ -647,7 +642,7 @@ def _random_label(rng: random.Random, k: int, length: int) -> Seq:
 
 
 def _random_compress_instance(rng: random.Random, cross_level: bool):
-    """One random (family, s, t) respecting the compression preconditions."""
+    """One random (n, k, member codes, s, t) respecting the compression preconditions."""
     while True:
         n = rng.randint(3, 5)
         k = rng.randint(1, 3)
@@ -665,10 +660,9 @@ def _random_compress_instance(rng: random.Random, cross_level: bool):
                 continue
             if orders.c_key(t, k) < orders.c_key(s, k):
                 s, t = t, s
-        universe = universe_sequences(n, k)
-        m = rng.randint(1, len(universe) - 1)
-        fam = Family.of(n, k, rng.sample(universe, m))
-        return fam, s, t
+        size = (k + 1) ** n
+        # Draws the indices rng.sample(universe, m) would draw.
+        return n, k, rng.sample(range(size), rng.randint(1, size - 1)), s, t
 
 
 @_timed
@@ -685,25 +679,27 @@ def check_lemma8(budget: SearchBudget) -> VerificationReport:
 
 def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
     rep = VerificationReport(name, {"mode": budget.mode})
-    # Fully exhaustive universes: every family over small (n, k).
-    for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+    # Every family over small (n, k); at (3, 2), where 2^27 families is out of
+    # desk scale, every family of size 1 or 2.
+    for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)):
         pairs = _compression_pairs(n, k, cross_level)
         if pairs:
-            _sweep_compress(rep, _all_families(n, k), pairs, f"n={n} k={k}")
-    # (3, 2): 2^27 families is out of desk scale; cover small sizes exhaustively.
-    pairs = _compression_pairs(3, 2, cross_level)
-    universe = universe_sequences(3, 2)
-    small = (
-        Family.of(3, 2, sub)
-        for m in (1, 2)
-        for sub in itertools.combinations(universe, m)
-    )
-    _sweep_compress(rep, small, pairs, "n=3 k=2")
+            masks = _shadow_masks(n, k, 0)
+            sizes = (1, 2) if (n, k) == (3, 2) else range(len(masks) + 1)
+            families = (Family(n, k, frozenset(sub))
+                        for m in sizes for sub in itertools.combinations(masks, m))
+            _sweep_compress(rep, masks, families, pairs, f"n={n} k={k}")
     # Seeded random larger instances.
     rng = random.Random(f"{budget.rng_seed}:{name}")
+    tables = {}
     for _ in range(budget.samples):
-        fam, s, t = _random_compress_instance(rng, cross_level)
-        _sweep_compress(rep, [fam], [(s, t)], "random")
+        n, k, codes, s, t = _random_compress_instance(rng, cross_level)
+        if (n, k) not in tables:
+            masks = _shadow_masks(n, k, 0)
+            tables[n, k] = list(masks), masks
+        universe, masks = tables[n, k]
+        a = Family(n, k, frozenset(universe[i] for i in codes))
+        _sweep_compress(rep, masks, [a], [(s, t)], "random")
     return rep
 
 
@@ -750,37 +746,34 @@ def check_prop10(budget: SearchBudget) -> VerificationReport:
     """|delta_r A| * n * (r+1) >= sum of low-coordinate counts, for every subset
     of the small universes and seeded random larger families."""
     rep = VerificationReport("prop10", {"mode": budget.mode})
+    tables = {}
+
+    def check(n, k, r, codes, label):
+        if (n, k, r) not in tables:
+            universe = universe_sequences(n, k)
+            tables[n, k, r] = universe, child_masks(n, k, r), [low_count(x, r) for x in universe]
+        universe, masks, lows = tables[n, k, r]
+        rep.instances_checked += 1
+        if _shadow_size(masks, codes) * n * (r + 1) < sum(lows[i] for i in codes):
+            rep.violations.append(
+                _fam_record(Family(n, k, frozenset(universe[i] for i in codes)), label)
+            )
+
     for n, k in ((2, 1), (3, 1), (4, 1), (2, 2)):
-        universe = universe_sequences(n, k)
+        size = (k + 1) ** n
         for r in range(k + 1):
-            masks = child_masks(n, k, r)
-            lows = [low_count(x, r) for x in universe]
-            for m in range(1, len(universe) + 1):
-                for idx in itertools.combinations(range(len(universe)), m):
-                    rep.instances_checked += 1
-                    lhs = _or_all(masks, idx).bit_count() * n * (r + 1)
-                    rhs = sum(lows[i] for i in idx)
-                    if lhs < rhs:
-                        rep.violations.append(
-                            _fam_record(
-                                Family.of(n, k, (universe[i] for i in idx)),
-                                f"n={n} k={k} r={r}",
-                            )
-                        )
+            for m in range(1, size + 1):
+                for codes in itertools.combinations(range(size), m):
+                    check(n, k, r, codes, f"n={n} k={k} r={r}")
     rng = random.Random(f"{budget.rng_seed}:prop10")
     for _ in range(budget.samples):
         n = rng.randint(3, 5)
         k = rng.randint(1, 3)
         r = rng.randint(0, k)
-        universe = universe_sequences(n, k)
-        m = rng.randint(1, len(universe))
-        members = rng.sample(universe, m)
-        fam = Family.of(n, k, members)
-        rep.instances_checked += 1
-        lhs = len(shadow.delta_r(fam, r)) * n * (r + 1)
-        rhs = sum(low_count(x, r) for x in members)
-        if lhs < rhs:
-            rep.violations.append(_fam_record(fam, f"random n={n} k={k} r={r}"))
+        size = (k + 1) ** n
+        # Draws the indices rng.sample(universe, m) would draw.
+        codes = rng.sample(range(size), rng.randint(1, size))
+        check(n, k, r, codes, f"random n={n} k={k} r={r}")
     return rep
 
 
@@ -819,11 +812,11 @@ def check_corollary11(budget: SearchBudget) -> VerificationReport:
                 for idx in itertools.combinations(range(len(universe)), m):
                     fam_members = frozenset(universe[i] for i in idx)
                     rep.instances_checked += 1
-                    val = _or_all(masks, idx).bit_count()
+                    val = _shadow_size(masks, idx)
                     if val < opt or (val == opt and fam_members != target.members):
                         rep.violations.append(
                             _fam_record(
-                                Family.of(n, k, fam_members),
+                                Family(n, k, fam_members),
                                 f"uniqueness n={n} k={k} r={r} s={s}: shadow {val} vs {opt}",
                             )
                         )

@@ -273,6 +273,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "deletion radius" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "family", ["3 2\n0 0 1\n", "3 2\n0 2 2\n"], ids=["mass_to_place", "no_mass"]
+    )
+    def test_compress_label_out_of_range(self, tmp_path, capsys, family):
+        src = family_file(tmp_path, family)
+        code, out, err = run_cli(capsys, "compress", "--s=-1,1", "--t=1", "--in", src)
+        assert (code, out) == (2, "")
+        assert err == "error: component label (-1, 1) must have its entries in [1, 2]\n"
+
+    def test_out_of_memory_is_an_input_error(self, tmp_path, capsys):
+        # Sorting the output builds a <= key of about 2 * 10^18 bits, which no
+        # allocator can give, so the run fails the same way on every host.
+        src = family_file(tmp_path, "3 1000000000000000000\n0 1 1\n")
+        code, _, err = run_cli(capsys, "shadow", "--r", "0", "--in", src)
+        assert (code, err) == (2, "error: out of memory: the input is too large\n")
+
     def test_negative_max_size_is_an_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "theorem1", "--n", "2", "--k", "1", "--max-size", "-3"

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from delshadow.orders import (
     iter_leq,
     level_labels,
 )
+from delshadow.famio import read_family, write_family
 from delshadow.seqcore import Family, place_label
 from delshadow.shadow import delta, delta_r, seq_children
 
@@ -172,6 +174,10 @@ class TestCompress:
             compress(a, (1, 1), (1, 1))  # identical labels
         with pytest.raises(ValueError):
             compress(a, (1, 0), (1,))  # zero in a label
+        with pytest.raises(ValueError, match=r"entries in \[1, 2\]"):
+            compress(a, (-1, 1), (1,))  # negative entry, no mass to place
+        with pytest.raises(ValueError, match=r"entries in \[1, 2\]"):
+            compress(a, (1, 3), (1,))  # entry above k
 
     @given(
         st.integers(1, 4),
@@ -194,6 +200,32 @@ class TestCompress:
         b = compress(a, s, t)
         assert len(b) == len(a)
         assert len(delta(b)) <= len(delta(a))
+
+
+class TestTrustedConstruction:
+    """delta_r, compress, canonicalize and read_family build their results
+    with the unvalidating constructor; each result must still be valid."""
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    @settings(max_examples=80)
+    def test_outputs_equal_their_validated_copies(self, n, k, data):
+        universe = list(itertools.product(range(k + 1), repeat=n))
+        a = Family.of(n, k, data.draw(st.sets(st.sampled_from(universe))))
+        buf = io.StringIO()
+        write_family(a, buf)
+        outputs = [
+            delta_r(a, data.draw(st.integers(0, k))),
+            canonicalize(a),
+            read_family(io.StringIO(buf.getvalue())),
+        ]
+        ls = data.draw(st.integers(1, n))
+        s = tuple(data.draw(st.integers(1, k)) for _ in range(ls))
+        t = tuple(data.draw(st.integers(1, k)) for _ in range(ls - data.draw(st.integers(0, 1))))
+        if s != t:
+            outputs.append(compress(a, s, t))
+        for b in outputs:
+            assert isinstance(b.members, frozenset)
+            assert b == Family.of(b.n, b.k, b.members)
 
 
 class TestCanonicalize:

@@ -7,7 +7,7 @@ import pytest
 
 from delshadow import extremal, shadow, verify
 from delshadow.extremal import min_delta_shadow_size
-from delshadow.seqcore import Family
+from delshadow.seqcore import Family, zero_count
 from delshadow.verify import (
     A_T_MEMBER_LIMIT,
     EXHAUSTIVE_UNIVERSE_LIMIT,
@@ -16,7 +16,11 @@ from delshadow.verify import (
     brute_force_min_shadow,
     check_a_t,
     check_conjecture1,
+    check_lemma3,
+    check_lemma6,
     check_lemma7,
+    check_lemma8,
+    check_prop10,
     check_theorem1,
     check_theorem2,
     child_masks,
@@ -469,3 +473,70 @@ class TestChecksCanFail:
         rep = check_lemma7(SearchBudget(mode="random", samples=5, rng_seed=0))
         details = [v["detail"] for v in rep.violations]
         assert details.count("random: compress changed cardinality") == 5
+
+    def test_lemma3_and_lemma6_against_a_wrong_colex_count(self, monkeypatch):
+        right = extremal.ones_count_colex
+        monkeypatch.setattr(extremal, "ones_count_colex", lambda n, r, m: right(n, r, m) + 1)
+        budget = SearchBudget()
+        rep = check_lemma3(budget)
+        details = [v["detail"] for v in rep.violations]
+        assert rep.instances_checked == 114
+        assert len(details) == 26  # every (n, r, m)
+        assert details[:2] == [
+            "n=1 r=1 m=1: brute 1 != colex count 2",
+            "n=2 r=1 m=1: brute 1 != colex count 2",
+        ]
+        assert details[-1] == "n=4 r=4 m=1: brute 1 != colex count 2"
+        rep = check_lemma6(budget)
+        details = [v["detail"] for v in rep.violations]
+        assert rep.instances_checked == 568
+        assert len(details) == 116
+        assert details[:2] == ["n=1 k=1 label=() m=1: brute 1 != 2", "n=1 k=2 label=() m=1: brute 1 != 2"]
+        assert details[-1] == "n=4 k=2 label=() m=1: brute 1 != 2"
+
+    def test_lemma8_against_a_compression_that_grows_the_shadow(self, monkeypatch):
+        right = extremal.compress
+
+        def grow(a, s, t):
+            # The members with the most zeros, which have the largest shadows.
+            b = right(a, s, t)
+            universe = itertools.product(range(a.k + 1), repeat=a.n)
+            return Family.of(a.n, a.k, sorted(universe, key=zero_count, reverse=True)[: len(b)])
+
+        monkeypatch.setattr(extremal, "compress", grow)
+        rep = check_lemma8(SearchBudget(samples=20))
+        assert rep.instances_checked == 21836
+        where = [v["detail"].split(":")[0] for v in rep.violations]
+        counts = {w: where.count(w) for w in dict.fromkeys(where)}
+        assert counts == {
+            "n=1 k=1": 1, "n=2 k=1": 12, "n=3 k=1": 279, "n=1 k=2": 6,
+            "n=2 k=2": 3540, "n=3 k=2": 7728, "random": 7,
+        }
+        assert rep.violations[0] == {
+            "family": ["1"], "detail": "n=1 k=1: compress by s=(1,) t=() grew the shadow"
+        }
+        first_random = rep.violations[where.index("random")]
+        assert first_random == {
+            "family": ["2 2 2", "1 1 2", "2 1 1", "2 2 0", "0 1 2", "1 0 2", "2 0 1",
+                       "2 1 0", "1 0 1", "0 2 0", "2 0 0", "0 0 0"],
+            "detail": "random: compress by s=(2, 2) t=(1,) grew the shadow",
+        }
+
+    def test_prop10_against_inflated_low_counts(self, monkeypatch):
+        right = verify.low_count
+        monkeypatch.setattr(verify, "low_count", lambda x, r: right(x, r) + 1)
+        rep = check_prop10(SearchBudget(samples=20))
+        assert rep.instances_checked == 133163
+        details = [v["detail"] for v in rep.violations]
+        assert len(details) == 22834
+        # Both the exhaustive and the random branch read the inflated counts.
+        assert rep.violations[0] == {"family": ["0 0"], "detail": "n=2 k=1 r=0"}
+        assert details.count("n=4 k=1 r=0") == 21182
+        random_records = [v for v in rep.violations if v["detail"].startswith("random")]
+        assert len(random_records) == 11
+        assert random_records[0] == {
+            "family": ["1 2 2", "2 1 2", "1 1 2", "2 2 1", "1 2 1", "2 1 1", "1 1 1",
+                       "0 2 2", "2 0 2", "2 2 0", "0 1 2", "1 0 2", "1 2 0", "0 2 1",
+                       "2 0 1", "2 1 0", "1 1 0", "0 2 0", "0 1 0", "1 0 0", "0 0 0"],
+            "detail": "random n=3 k=2 r=2",
+        }
