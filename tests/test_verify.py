@@ -491,7 +491,10 @@ class TestChecksCanFail:
         details = [v["detail"] for v in rep.violations]
         assert rep.instances_checked == 568
         assert len(details) == 116
-        assert details[:2] == ["n=1 k=1 label=() m=1: brute 1 != 2", "n=1 k=2 label=() m=1: brute 1 != 2"]
+        assert details[:2] == [
+            "n=1 k=1 label=() m=1: brute 1 != 2",
+            "n=1 k=2 label=() m=1: brute 1 != 2",
+        ]
         assert details[-1] == "n=4 k=2 label=() m=1: brute 1 != 2"
 
     def test_lemma8_against_a_compression_that_grows_the_shadow(self, monkeypatch):
