@@ -23,7 +23,7 @@ from .orders import (
     leq_less,
     simplicial_less,
 )
-from .seqcore import Component, Family, SequenceStats, component_of, components, reduced, stats
+from .seqcore import Component, Family, component_of, components, reduced
 from .shadow import delta, delta_r, deletion_multidegree, full_deletion
 from .verify import SearchBudget, VerificationReport, brute_force_min_shadow, run_suite
 
@@ -33,7 +33,6 @@ __all__ = [
     "FamilyFormatError",
     "SearchBudget",
     "SegmentDescriptor",
-    "SequenceStats",
     "SetSystem",
     "VerificationReport",
     "brute_force_min_shadow",
@@ -61,6 +60,5 @@ __all__ = [
     "run_suite",
     "segment_realize",
     "simplicial_less",
-    "stats",
     "write_family",
 ]

@@ -6,6 +6,8 @@ Exit status: 0 on success, 1 when a proven-claim check is violated,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
@@ -13,37 +15,33 @@ from . import extremal, famio, orders, shadow, verify
 from .seqcore import Family
 
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
-
-
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+@contextlib.contextmanager
+def _opened(path: str, mode: str):
+    """The file at `path`, or stdin / stdout for "-", closed on exit unless
+    it is a standard stream."""
+    if path == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode, encoding="utf-8") as stream:
+            yield stream
 
 
 def _read_family(path: str) -> Family:
-    stream = _open_in(path)
-    try:
+    with _opened(path, "r") as stream:
         return famio.read_family(stream)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
 
 
 def _emit_family(a: Family, path: str, as_json: bool) -> None:
-    stream = _open_out(path)
-    try:
-        if as_json:
-            json.dump(
-                {"n": a.n, "k": a.k, "members": [famio.format_sequence(x) for x in a]},
-                stream,
-            )
-            stream.write("\n")
-        else:
-            famio.write_family(a, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    # Rendered in full first, so a failure leaves no partial output.
+    if as_json:
+        members = [famio.format_sequence(x) for x in a]
+        text = json.dumps({"n": a.n, "k": a.k, "members": members}) + "\n"
+    else:
+        buf = io.StringIO()
+        famio.write_family(a, buf)
+        text = buf.getvalue()
+    with _opened(path, "w") as stream:
+        stream.write(text)
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -191,19 +189,20 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+# family kind -> {flag: builder parameter} for the flags it needs besides --n, --k
+_FAMILY_FLAGS = {
+    "lleq": {"r": "r_del", "s": "s"},
+    "brt": {"r": "r", "t": "t"},
+    "at": {"t": "t"},
+}
+
+
 def _cmd_family(args) -> int:
-    if args.kind == "lleq":
-        if args.r is None or args.s is None:
-            raise ValueError("lleq needs --r and --s")
-        fam = extremal.family_l_leq(args.n, args.k, args.r, args.s)
-    elif args.kind == "brt":
-        if args.r is None or args.t is None:
-            raise ValueError("brt needs --r and --t")
-        fam = extremal.family_b_rt(args.n, args.k, args.r, args.t)
-    else:
-        if args.t is None:
-            raise ValueError("at needs --t")
-        fam = extremal.family_a_t(args.n, args.k, args.t)
+    flags = _FAMILY_FLAGS[args.kind]
+    if any(getattr(args, f) is None for f in flags):
+        raise ValueError(f"{args.kind} needs " + " and ".join(f"--{f}" for f in flags))
+    params = {p: getattr(args, f) for f, p in flags.items()}
+    fam = extremal.canonical_family(args.kind, n=args.n, k=args.k, **params)
     _emit_family(fam, args.outfile, args.json)
     return 0
 

@@ -49,7 +49,7 @@ def read_family(stream) -> Family:
 def write_family(a: Family, stream) -> None:
     stream.write(f"{a.n} {a.k}\n")
     for x in a:  # Family iterates in <= order
-        stream.write(" ".join(str(e) for e in x) + "\n")
+        stream.write(format_sequence(x) + "\n")
 
 
 def format_sequence(x) -> str:

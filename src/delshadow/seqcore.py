@@ -7,7 +7,6 @@ value of length 0, so deletion shadows of length-1 families are total.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -36,38 +35,6 @@ def rank(x: Seq) -> int:
 def low_count(x: Seq, r: int) -> int:
     """Number of coordinates of x with value <= r."""
     return sum(1 for e in x if e <= r)
-
-
-@dataclass(frozen=True)
-class SequenceStats:
-    """Derived statistics of one sequence: rank, value counts, low counts."""
-
-    sequence: Seq
-    rank: int
-    zero_count: int
-    value_counts: tuple[tuple[int, int], ...]  # (value, count), counts > 0
-
-    def count(self, value: int) -> int:
-        """w_value(x)."""
-        return dict(self.value_counts).get(value, 0)
-
-    def positions(self, value: int) -> frozenset[int]:
-        """R_value(x)."""
-        return positions_of(self.sequence, value)
-
-    def low_count(self, r: int) -> int:
-        """Number of coordinates <= r; equals len(x) once r reaches max(x)."""
-        return sum(c for v, c in self.value_counts if v <= r)
-
-
-def stats(x: Seq) -> SequenceStats:
-    counts = Counter(x)
-    return SequenceStats(
-        sequence=x,
-        rank=sum(x),
-        zero_count=counts.get(0, 0),
-        value_counts=tuple(sorted(counts.items())),
-    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import ceil, comb, inf, log
 from typing import NamedTuple
 
-from . import extremal, orders, shadow
+from . import extremal, famio, orders, shadow
 from .seqcore import Family, Seq, components, low_count, zero_count
 
 EXHAUSTIVE_UNIVERSE_LIMIT = 27
@@ -92,7 +92,7 @@ def _timed(check):
 
 
 def _fam_record(a: Family, detail: str = "") -> dict:
-    rec = {"family": [" ".join(str(e) for e in x) for x in a]}
+    rec = {"family": [famio.format_sequence(x) for x in a]}
     if detail:
         rec["detail"] = detail
     return rec
@@ -214,18 +214,23 @@ def _sweep_universe(n: int, k: int) -> int:
     return size
 
 
+def _exhaustive_refusal(size: int) -> str | None:
+    """Why no size of a size-`size` universe can be decided exactly; None
+    when every size can."""
+    if size > EXHAUSTIVE_UNIVERSE_LIMIT:
+        return f"universe has {size} > {EXHAUSTIVE_UNIVERSE_LIMIT} elements"
+
+
 def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
     # String seeding hashes with SHA-512 internally, so streams are stable
     # across platforms and independent per (n, k, m, r_del).
     return random.Random(f"{seed}:{n}:{k}:{m}:{r_del}")
 
 
-def _search(masks: list[int], n: int, k: int, m: int, r_del: int, budget: SearchBudget) -> _Best:
-    """Least popcount of the OR of m masks: when exact, over every m-subset,
-    as decided by `_exact_search`; else over `budget.samples` seeded random
-    ones, drawn by `_sample_search`."""
-    if _is_exact(budget, len(masks), m):
-        return _exact_search(masks, m)[m]
+def _seeded_sample(masks: list[int], n: int, k: int, m: int, r_del: int,
+                   budget: SearchBudget) -> _Best:
+    """A sampled size's search: `_sample_search` over `budget.samples` random
+    m-subsets, drawn from the stream that `_sample_rng` seeds for the size."""
     rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
     return _sample_search(masks, m, rng, budget.samples)
 
@@ -341,7 +346,7 @@ def _load_worker_masks(n: int, k: int, r_del: int) -> None:
 
 
 def _worker_search(args) -> _Best:
-    return _search(_worker_masks, *args)
+    return _seeded_sample(_worker_masks, *args)
 
 
 def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> list[_Best]:
@@ -361,11 +366,8 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
             raise ValueError(f"size {m} not in [0, {size}]")
         if not _is_exact(budget, size, m):
             sampled.append(m)
-        elif size > EXHAUSTIVE_UNIVERSE_LIMIT:
-            raise ValueError(
-                f"exhaustive search infeasible: universe has {size} > "
-                f"{EXHAUSTIVE_UNIVERSE_LIMIT} elements"
-            )
+        elif why := _exhaustive_refusal(size):
+            raise ValueError(f"exhaustive search infeasible: {why}")
         else:
             exact.append(m)
     workers = min(worker_count(), len(sampled))
@@ -384,7 +386,7 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
             tasks = [(n, k, m, r_del, budget) for m in order]
             found.update(zip(order, pool.map(_worker_search, tasks)))
     else:
-        found.update((m, _search(masks, n, k, m, r_del, budget)) for m in sampled)
+        found.update((m, _seeded_sample(masks, n, k, m, r_del, budget)) for m in sampled)
     return [found[m] for m in sizes]
 
 
@@ -506,16 +508,12 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     for t in range(1, k + 1):
         at = extremal.family_a_t(n, k, t)
         cases.append((t, at, len(shadow.delta_r(at, k))))
-    size = (k + 1) ** n
-    if budget.mode == "exhaustive" and size <= EXHAUSTIVE_UNIVERSE_LIMIT:
+    why = (_exhaustive_refusal((k + 1) ** n) if budget.mode == "exhaustive"
+           else f"mode {budget.mode!r} is not exhaustive")
+    if why is None:
         results = _search_sizes(n, k, k, [t ** n for t, _, _ in cases], budget)
     else:
         results = [None] * len(cases)
-        why = (
-            f"mode {budget.mode!r} is not exhaustive"
-            if budget.mode != "exhaustive"
-            else f"universe has {size} > {EXHAUSTIVE_UNIVERSE_LIMIT} elements"
-        )
         rep.observations.append({"detail": f"minimality of A_t not searched: {why}"})
     for (t, at, actual), res in zip(cases, results):
         rep.instances_checked += 1
@@ -581,11 +579,14 @@ def colex_level_shadow_sizes(n: int, r: int) -> list[int]:
     return sizes
 
 
+LEMMA4_N_MAX = 10
+
+
 @_timed
-def check_lemma4(budget: SearchBudget, n_max: int = 10) -> VerificationReport:
+def check_lemma4(budget: SearchBudget) -> VerificationReport:
     """ones_count_colex agrees with direct shadow sizes of colex families."""
-    rep = VerificationReport("lemma4", {"n_max": n_max})
-    for n in range(1, n_max + 1):
+    rep = VerificationReport("lemma4", {"n_max": LEMMA4_N_MAX})
+    for n in range(1, LEMMA4_N_MAX + 1):
         for r in range(1, n + 1):
             sizes = colex_level_shadow_sizes(n, r)
             for m, direct in enumerate(sizes):
@@ -703,12 +704,15 @@ def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
     return rep
 
 
+LEMMA9_N_MAX = 8
+
+
 @_timed
-def check_lemma9(budget: SearchBudget, n_max: int = 8) -> VerificationReport:
+def check_lemma9(budget: SearchBudget) -> VerificationReport:
     """The four segment-counting claims, exhaustively over all segment sizes."""
-    rep = VerificationReport("lemma9", {"n_max": n_max})
+    rep = VerificationReport("lemma9", {"n_max": LEMMA9_N_MAX})
     oc = extremal.ones_count_colex
-    for n in range(1, n_max + 1):
+    for n in range(1, LEMMA9_N_MAX + 1):
         for r in range(1, n + 1):
             layer = comb(n, r)
             oc_table = [oc(n, r, m) for m in range(layer + 1)]

@@ -95,7 +95,7 @@ def test_03_theorem1_ternary():
 
 def test_04_lemma4_identity():
     with criterion(4, "lemma4-identity"):
-        rep = check_lemma4(EXHAUSTIVE, n_max=10)
+        rep = check_lemma4(EXHAUSTIVE)
         assert rep.ok, rep.to_dict()
         assert rep.instances_checked == sum(
             comb(n, r) + 1 for n in range(1, 11) for r in range(1, n + 1)
@@ -144,7 +144,7 @@ def test_06_canonicalize():
 
 def test_07_lemma9_claims():
     with criterion(7, "lemma9-claims"):
-        rep = check_lemma9(EXHAUSTIVE, n_max=8)
+        rep = check_lemma9(EXHAUSTIVE)
         assert rep.ok, rep.to_dict()
         assert rep.instances_checked > 0
 

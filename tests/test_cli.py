@@ -236,6 +236,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: length n must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("kind,flags,missing", [
+        ("lleq", ["--r", "1"], "--r and --s"),
+        ("lleq", ["--s", "1"], "--r and --s"),
+        ("brt", ["--t", "1"], "--r and --t"),
+        ("brt", ["--r", "1", "--s", "1"], "--r and --t"),
+        ("at", ["--r", "1", "--s", "1"], "--t"),
+    ])
+    def test_family_missing_flags(self, capsys, kind, flags, missing):
+        code, out, err = run_cli(capsys, "family", "--kind", kind, "--n", "3", "--k", "2", *flags)
+        assert (code, out, err) == (2, "", f"error: {kind} needs {missing}\n")
+
     @pytest.mark.parametrize("suite", ["theorem1", "theorem2", "conjecture1"])
     def test_unenumerable_universe_is_refused(self, capsys, suite):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", "30", "--k", "1")
@@ -285,9 +296,15 @@ class TestExitCodes:
     def test_out_of_memory_is_an_input_error(self, tmp_path, capsys):
         # Sorting the output builds a <= key of about 2 * 10^18 bits, which no
         # allocator can give, so the run fails the same way on every host.
+        # The output is rendered in full before it is opened, so the header
+        # is neither printed nor left alone in an --out file.
         src = family_file(tmp_path, "3 1000000000000000000\n0 1 1\n")
-        code, _, err = run_cli(capsys, "shadow", "--r", "0", "--in", src)
-        assert (code, err) == (2, "error: out of memory: the input is too large\n")
+        code, out, err = run_cli(capsys, "shadow", "--r", "0", "--in", src)
+        assert (code, out, err) == (2, "", "error: out of memory: the input is too large\n")
+        dst = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "shadow", "--r", "0", "--in", src, "--out", str(dst))
+        assert (code, out, err) == (2, "", "error: out of memory: the input is too large\n")
+        assert not dst.exists()
 
     def test_negative_max_size_is_an_input_error(self, capsys):
         code, out, err = run_cli(

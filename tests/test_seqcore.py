@@ -12,8 +12,9 @@ from delshadow.seqcore import (
     low_count,
     place_label,
     positions_of,
+    rank,
     reduced,
-    stats,
+    zero_count,
 )
 from delshadow.shadow import seq_children
 
@@ -28,40 +29,38 @@ def seq_and_k(max_n=6, max_k=3):
 
 class TestStats:
     def test_sequence_00121(self):
-        s = stats((0, 0, 1, 2, 1))
-        assert s.positions(0) == frozenset({1, 2})
-        assert s.count(0) == 2
-        assert s.rank == 4
-        assert s.low_count(1) == 4
+        x = (0, 0, 1, 2, 1)
+        assert positions_of(x, 0) == frozenset({1, 2})
+        assert len(positions_of(x, 0)) == 2
+        assert rank(x) == 4
+        assert low_count(x, 1) == 4
 
     def test_zero_free_word(self):
-        s = stats((1, 1, 1))
-        assert s.zero_count == 0
-        assert s.rank == 3
-        assert s.positions(1) == frozenset({1, 2, 3})
+        x = (1, 1, 1)
+        assert zero_count(x) == 0
+        assert rank(x) == 3
+        assert positions_of(x, 1) == frozenset({1, 2, 3})
 
     def test_all_zero_word(self):
-        s = stats((0, 0, 0))
-        assert s.zero_count == 3
-        assert s.rank == 0
+        x = (0, 0, 0)
+        assert zero_count(x) == 3
+        assert rank(x) == 0
         for r in range(4):
-            assert s.low_count(r) == 3
+            assert low_count(x, r) == 3
 
     @given(seq_and_k())
     def test_value_counts_partition_and_rank(self, xk):
         x, k = xk
-        s = stats(x)
-        assert sum(s.count(v) for v in range(k + 1)) == len(x)
-        assert s.rank == sum(v * s.count(v) for v in range(k + 1))
-        assert s.low_count(k) == len(x)
+        assert sum(len(positions_of(x, v)) for v in range(k + 1)) == len(x)
+        assert rank(x) == sum(v * len(positions_of(x, v)) for v in range(k + 1))
+        assert low_count(x, k) == len(x)
 
     def test_exhaustive_consistency_small(self):
         for n in range(7):
             for k in range(1, 4):
                 for x in itertools.product(range(k + 1), repeat=n):
-                    s = stats(x)
-                    assert sum(s.count(v) for v in range(k + 1)) == n
-                    assert s.rank == sum(v * s.count(v) for v in range(k + 1))
+                    assert sum(len(positions_of(x, v)) for v in range(k + 1)) == n
+                    assert rank(x) == sum(v * len(positions_of(x, v)) for v in range(k + 1))
                 if n > 2:
                     break  # k sweep only needed once the alphabet matters
 

@@ -277,7 +277,7 @@ class TestSweepEngine:
 
     def test_repeated_sizes_are_searched_once_and_counted_each_time(self, monkeypatch):
         decided = _count_calls(monkeypatch, "_exact_search")
-        searched = _count_calls(monkeypatch, "_search")
+        searched = _count_calls(monkeypatch, "_seeded_sample")
         monkeypatch.setenv("DELSHADOW_THREADS", "1")
         results = verify._search_sizes(2, 1, 0, [3, 1, 3], EXHAUSTIVE)
         assert [args[1] for args in decided] == [3]
@@ -322,12 +322,15 @@ class TestSweepEngine:
 
     def test_infeasible_exhaustive_sweep_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
-        with pytest.raises(ValueError, match="exhaustive search infeasible"):
-            check_theorem1(4, 2, EXHAUSTIVE)
+        # The default budget decides size 0 exactly, so it is refused on every
+        # universe over EXHAUSTIVE_UNIVERSE_LIMIT elements.
+        for budget in (EXHAUSTIVE, SearchBudget()):
+            with pytest.raises(ValueError, match="exhaustive search infeasible"):
+                check_theorem1(4, 2, budget)
 
 
 def _reference_search(masks, n, k, m, r_del, budget):
-    """Reference for verify._search: every m-subset from
+    """Reference for the search of one size: every m-subset from
     itertools.combinations when exact, else `rng.sample(range(size), m)`."""
     size = len(masks)
     exact = verify._is_exact(budget, size, m)
@@ -349,10 +352,11 @@ def _reference_search(masks, n, k, m, r_del, budget):
 
 
 class TestSampleKernel:
-    """The fused sampler draws the subsets rng.sample draws, so every search
-    result equals the reference field by field.  Random.sample keeps a pool
-    while U <= 21 + (4^ceil(log4(3m)) for m > 5), else a set: at U = 27 it
-    switches from the set (m <= 5) to the pool (m >= 6)."""
+    """The fused sampler draws the subsets rng.sample draws, so every result
+    of the size-search engine equals the reference field by field.
+    Random.sample keeps a pool while U <= 21 + (4^ceil(log4(3m)) for m > 5),
+    else a set: at U = 27 it switches from the set (m <= 5) to the pool
+    (m >= 6)."""
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
     @pytest.mark.parametrize("mode", ["random", "bounded"])
@@ -361,8 +365,8 @@ class TestSampleKernel:
         budget = SearchBudget(mode=mode, max_size=1, samples=25, rng_seed=seed)
         for r_del in range(k + 1):
             masks = child_masks(n, k, r_del)
-            for m in range(len(masks) + 1):
-                got = verify._search(masks, n, k, m, r_del, budget)
+            sizes = range(len(masks) + 1)
+            for m, got in zip(sizes, verify._search_sizes(n, k, r_del, sizes, budget)):
                 assert got == _reference_search(masks, n, k, m, r_del, budget), (r_del, m)
 
     @pytest.mark.parametrize("n,sizes", [
@@ -372,10 +376,8 @@ class TestSampleKernel:
     def test_universes_past_the_pool_size(self, n, sizes):
         budget = SearchBudget(mode="random", samples=3, rng_seed=2)
         masks = child_masks(n, 1, 0)
-        for m in sizes:
-            assert verify._search(masks, n, 1, m, 0, budget) == _reference_search(
-                masks, n, 1, m, 0, budget
-            ), m
+        for m, got in zip(sizes, verify._search_sizes(n, 1, 0, sizes, budget)):
+            assert got == _reference_search(masks, n, 1, m, 0, budget), m
 
 
 def _enumerable_sizes(size):
@@ -399,7 +401,7 @@ class TestExactSearch:
             for m in _enumerable_sizes(len(masks)):
                 want = _reference_search(masks, n, k, m, r_del, EXHAUSTIVE)
                 assert decided[m] == want, (r_del, m)
-                assert verify._search(masks, n, k, m, r_del, EXHAUSTIVE) == want, (r_del, m)
+                assert verify._exact_search(masks, m)[m] == want, (r_del, m)
 
 
 class TestSubcubeCheck:
