@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -61,7 +62,11 @@ def _parse_radius(text: str, k: int) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `delshadow` parser, built on first use and shared by every later
+    call in the process: building it costs more than most commands.
+    `parse_args` returns a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="delshadow",
         description="Deletion shadows, extremal orders and brute-force checks "

@@ -16,7 +16,10 @@ from fractions import Fraction
 from math import comb
 
 from .orders import colex_combinations, colex_initial_positions, level_labels
-from .seqcore import Family, Seq, low_count, place_label, reduced, zero_count
+from .seqcore import (
+    Family, Seq, capped_pow, check_family_size, check_size, low_count, member_cap,
+    place_label, reduced,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +245,15 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
     """
     if k < 1 or n < 0:
         raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
-    if not (0 <= m <= (k + 1) ** n):
-        raise ValueError(f"size {m} not in [0, {(k + 1) ** n}]")
+    check_size(m, k + 1, n)
     total = 0
     remaining = m
     comp_size, per_full = 1, 0  # C(n, i) and C(n-1, i-1), stepped with i
+    # k^(n-i) components per level.  Capped above m, k^n decides level 0 as
+    # the whole power would; a level is passed only when all its components
+    # fit in m, so every later count is exact and steps down by k.
+    n_components = capped_pow(k, n, m)
     for i in range(n + 1):
-        n_components = k ** (n - i)
         full = min(n_components, remaining // comp_size)
         total += full * per_full
         remaining -= full * comp_size
@@ -261,6 +266,7 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
             break
         per_full = comp_size * (n - i) // n
         comp_size = comp_size * (n - i) // (i + 1)
+        n_components //= k
     assert remaining == 0
     return total
 
@@ -272,17 +278,46 @@ def _check_length(n: int) -> None:
         raise ValueError(f"length n must be >= 0, got {n}")
 
 
+def _few_low_family(n: int, k: int, low: range, high: range, most: int) -> Family:
+    """Every length-n sequence with at most `most` entries from `low` and the
+    rest from `high`, built by placing the low entries and filling the rest.
+
+    Refused first when its size, the sum over c of C(n, c) |low|^c
+    |high|^(n-c), is over member_cap(n); each power is capped, and the sum
+    stops once it passes the cap.
+    """
+    # With no high values, only the all-low sequences exist.
+    spreads = range(0 if high else n, min(most, n) + 1)
+    cap = member_cap(n)
+    size = 0
+    for c in spreads:
+        size += comb(n, c) * capped_pow(len(low), c, cap) * capped_pow(len(high), n - c, cap)
+        if size > cap:
+            break
+    check_family_size(size, n)
+
+    def members():
+        for c in spreads:
+            for where in itertools.combinations(range(n), c):
+                for lows in itertools.product(low, repeat=c):
+                    for highs in itertools.product(high, repeat=n - c):
+                        x = list(highs)
+                        for i, e in zip(where, lows):  # ascending, so each lands at i
+                            x.insert(i, e)
+                        yield tuple(x)
+
+    return Family.of(n, k, members())
+
+
 def family_l_leq(n: int, k: int, r_del: int, s: int) -> Family:
-    """All sequences with at most s coordinates of value <= r_del."""
+    """All sequences with at most s coordinates of value <= r_del: the levels
+    i <= s of `level_size`."""
     _check_length(n)
     if not (0 <= s <= n):
         raise ValueError(f"level bound {s} not in [0, {n}]")
     if not (0 <= r_del <= k):
         raise ValueError(f"deletion radius {r_del} not in [0, {k}]")
-    return Family.of(
-        n, k,
-        (x for x in itertools.product(range(k + 1), repeat=n) if low_count(x, r_del) <= s),
-    )
+    return _few_low_family(n, k, range(r_del + 1), range(r_del + 1, k + 1), s)
 
 
 def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
@@ -290,10 +325,7 @@ def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
     _check_length(n)
     if not (0 <= r <= k and 0 <= t <= k):
         raise ValueError(f"need 0 <= r, t <= {k}, got r={r}, t={t}")
-    return Family.of(
-        n, k,
-        (x for x in itertools.product(range(t + 1), repeat=n) if zero_count(x) <= r),
-    )
+    return _few_low_family(n, k, range(1), range(1, t + 1), r)
 
 
 def family_a_t(n: int, k: int, t: int) -> Family:
@@ -301,6 +333,7 @@ def family_a_t(n: int, k: int, t: int) -> Family:
     _check_length(n)
     if not (1 <= t <= k):
         raise ValueError(f"need 1 <= t <= {k}, got t={t}")
+    check_family_size(capped_pow(t, n, member_cap(n)), n)
     return Family.of(n, k, itertools.product(range(t), repeat=n))
 
 

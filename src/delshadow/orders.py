@@ -19,7 +19,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .seqcore import Family, Seq, place_label, positions_of, rank
+from .seqcore import (
+    Family, Seq, check_family_size, check_size, place_label, positions_of, rank,
+)
 
 
 def colex_key(s) -> int:
@@ -152,8 +154,8 @@ def iter_leq(n: int, k: int):
 
 def initial_segment_leq(n: int, k: int, m: int) -> Family:
     """The first m sequences of {0,...,k}^n in <= order."""
-    if not (0 <= m <= (k + 1) ** n):
-        raise ValueError(f"size {m} not in [0, {(k + 1) ** n}]")
+    check_size(m, k + 1, n)
+    check_family_size(m, n)
     return Family.of(n, k, itertools.islice(iter_leq(n, k), m))
 
 

@@ -37,6 +37,51 @@ def low_count(x: Seq, r: int) -> int:
     return sum(1 for e in x if e <= r)
 
 
+def capped_pow(base: int, exp: int, cap: int) -> int:
+    """min(base ** exp, cap + 1) for exp >= 0.  A power of base > 1 that is
+    plainly above cap by bit length is never computed, so a huge exponent
+    costs nothing."""
+    if base > 1 and exp * (base.bit_length() - 1) > cap.bit_length():
+        return cap + 1
+    return min(base ** exp, cap + 1)
+
+
+def check_size(m: int, base: int, exp: int) -> None:
+    """Refuse a size m outside [0, base ** exp], such as a family size in a
+    universe of (k+1)^n sequences.  The bound is written out only when it has
+    at most 4096 bits."""
+    if m < 0 or m > capped_pow(base, exp, m):
+        shown = capped_pow(base, exp, 1 << 4096)
+        if shown > 1 << 4096:
+            shown = f"{base}^{exp}"
+        raise ValueError(f"size {m} not in [0, {shown}]")
+
+
+# A family of M members of length n holds M * n entries.  The builders refuse
+# more than this before any work.  `family --kind at --n 12 --k 3 --t 3`, 6.4 M
+# entries, takes 6.6 s and 198 MB (2 vCPUs, Python 3.11); A_2 at n = 18, 4.7 M
+# entries, is the largest family `check_a_t` builds, and `initseg --n 1000000
+# --k 1 --size 1` needs 10^6.
+FAMILY_ENTRY_LIMIT = 1 << 23
+
+
+def member_cap(n: int) -> int:
+    """The most members of length n a family may have: FAMILY_ENTRY_LIMIT
+    entries in all."""
+    return FAMILY_ENTRY_LIMIT // max(n, 1)
+
+
+def check_family_size(members: int, n: int) -> None:
+    """Refuse a family of `members` members of length n, or of more than
+    member_cap(n) when `members` is a capped count, over FAMILY_ENTRY_LIMIT
+    entries."""
+    if members > member_cap(n):
+        raise ValueError(
+            f"family infeasible: its members of length {n} hold over "
+            f"{FAMILY_ENTRY_LIMIT} entries"
+        )
+
+
 @dataclass(frozen=True)
 class Family:
     """A finite set of equal-length sequences over a common alphabet {0,...,k}.

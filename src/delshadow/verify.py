@@ -172,6 +172,12 @@ SWEEP_UNIVERSE_LIMIT = 4096
 # 5-8 ms at U = 27.
 POOL_MIN_SAMPLES = 33_334
 
+# A sampled size m draws m members per sample.  One draw costs 0.17 us at
+# (3, 2) and 0.78 us at (12, 1) (2 vCPUs, Python 3.11), so a sweep of more
+# draws than this runs for minutes and is refused; the bounded (3, 2) sweeps
+# of 40 000 samples make 7.56 M.
+SAMPLE_DRAW_LIMIT = 1 << 28
+
 
 class _Best(NamedTuple):
     """One size's search result: the least shadow found, a family attaining
@@ -356,7 +362,8 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
     All exact sizes are decided in-process by one `_exact_search`.  Sampled
     sizes with fewer than POOL_MIN_SAMPLES samples in total run in-process;
     more are spread over a process pool, largest first, with the masks built
-    once per worker.  Every refusal comes before any work.
+    once per worker.  Every refusal comes before any work, including a
+    sampled search of over SAMPLE_DRAW_LIMIT draws.
     """
     size = _sweep_universe(n, k)
     distinct = list(dict.fromkeys(sizes))
@@ -370,6 +377,12 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
             raise ValueError(f"exhaustive search infeasible: {why}")
         else:
             exact.append(m)
+    draws = budget.samples * sum(sampled)
+    if draws > SAMPLE_DRAW_LIMIT:
+        raise ValueError(
+            f"sampled search infeasible: {budget.samples} samples of sizes summing to "
+            f"{sum(sampled)} make {draws} > {SAMPLE_DRAW_LIMIT} draws"
+        )
     workers = min(worker_count(), len(sampled))
     pooled = workers > 1 and len(sampled) * budget.samples >= POOL_MIN_SAMPLES
     found = {}

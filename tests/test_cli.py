@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,52 @@ class TestVerifyCommand:
         assert build_parser().parse_args(["verify"]).suite == ",".join(ALL_CHECKS)
 
 
+class TestSharedParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["initseg", "--n", "x", "--k", "1", "--size", "1"])
+        assert exc.value.code == 2
+        # argparse writes to the sys.stderr of the moment, here capsys's.
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "minshadow", "--n", "2", "--k", "1", "--size", "99")
+        assert (code, out, err) == (2, "", "error: size 99 not in [0, 4]\n")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemma4")
+        assert code == 0 and out.startswith("lemma4: PASS")
+        code, out, _ = run_cli(capsys, "initseg", "--n", "2", "--k", "1", "--size", "2", "--json")
+        assert (code, json.loads(out)) == (0, {"n": 2, "k": 1, "members": ["1 1", "0 1"]})
+        assert run_cli(capsys, "initseg", "--n", "2", "--k", "1", "--size", "2") == (
+            0, "2 1\n1 1\n0 1\n", "")
+        assert build_parser().parse_args(["verify"]).suite == ",".join(ALL_CHECKS)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+FAMILY_REFUSAL = "error: family infeasible: its members of length {} hold over 8388608 entries\n"
+
+
+class TestHugeRequests:
+    """Each of these enumerated a universe of up to 4^40 sequences, or
+    computed a power such as 3^(10^8), and ran for hours.  Each now answers at
+    once; a separate process and its timeout keep a fall back from hanging
+    the test run."""
+
+    @pytest.mark.parametrize("command,code,out,err", [
+        ("family --kind brt --n 40 --k 3 --r 0 --t 1", 0, "40 3\n" + "1 " * 39 + "1\n", ""),
+        ("family --kind lleq --n 40 --k 3 --r 2 --s 0", 0, "40 3\n" + "3 " * 39 + "3\n", ""),
+        ("minshadow --n 100000000 --k 2 --size 1", 0, "0\n", ""),
+        ("family --kind at --n 40 --k 3 --t 3", 2, "", FAMILY_REFUSAL.format(40)),
+        ("initseg --n 40 --k 3 --size 100000000000", 2, "", FAMILY_REFUSAL.format(40)),
+        ("initseg --n 100000000 --k 2 --size 1", 2, "", FAMILY_REFUSAL.format(100000000)),
+        ("family --kind at --n 100000000 --k 2 --t 1", 2, "", FAMILY_REFUSAL.format(100000000)),
+    ])
+    def test_answers_at_once(self, command, code, out, err):
+        done = subprocess.run(
+            [sys.executable, "-m", "delshadow.cli", *command.split()],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "shadow", "--r", "0", "--in", "/nonexistent")
@@ -266,6 +316,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", "--suite", "a_t", "--n", "30", "--k", "2")
         assert (code, out) == (2, "")
         assert err == "error: a_t infeasible: A_1..A_k at n=30, k=2 have over 524288 members\n"
+
+    def test_sampled_sweep_of_hours_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--n", "12", "--k", "1", "--mode", "random"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sampled search infeasible: ") and err.count("\n") == 1
 
     def test_largest_sweep_finishes(self, capsys):
         code, out, err = run_cli(

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delshadow import extremal
+from delshadow import extremal, seqcore
 from delshadow.extremal import (
     SegmentDescriptor,
     SetSystem,
@@ -447,6 +447,62 @@ class TestCanonicalFamilies:
             family_a_t(2, 2, 3)
         with pytest.raises(ValueError):
             family_l_leq(2, 2, 0, 3)
+
+
+def _grid_builders(n, k):
+    """(builder, filter definition, size in closed form) for every r, t and s
+    of the three canonical families."""
+    for r, t in itertools.product(range(k + 1), repeat=2):
+        yield (lambda r=r, t=t: family_b_rt(n, k, r, t),
+               lambda x, r=r, t=t: max(x, default=0) <= t and x.count(0) <= r,
+               sum(comb(n, z) * t ** (n - z) for z in range(min(r, n) + 1)))
+    for r_del, s in itertools.product(range(k + 1), range(n + 1)):
+        yield (lambda r_del=r_del, s=s: family_l_leq(n, k, r_del, s),
+               lambda x, r_del=r_del, s=s: sum(e <= r_del for e in x) <= s,
+               sum(level_size(n, k, r_del, i) for i in range(s + 1)))
+    for t in range(1, k + 1):
+        yield (lambda t=t: family_a_t(n, k, t),
+               lambda x, t=t: max(x, default=0) < t,
+               t ** n)
+
+
+class TestConstructiveFamilies:
+    """The builders place the positions of the few low entries and fill the
+    rest, and refuse a family over FAMILY_ENTRY_LIMIT entries by its size in
+    closed form, before any work."""
+
+    GRID = [(n, k) for n in range(5) for k in range(1, 4)]
+
+    @pytest.mark.parametrize("n,k", GRID)
+    def test_members_equal_the_filter_definitions(self, n, k):
+        for build, keep, size in _grid_builders(n, k):
+            fam = build()
+            universe = itertools.product(range(k + 1), repeat=n)
+            assert fam == Family.of(n, k, filter(keep, universe))
+            assert len(fam) == size
+
+    @pytest.mark.parametrize("n,k", GRID)
+    def test_entry_limit_is_decided_by_the_exact_size(self, monkeypatch, n, k):
+        for build, _, size in _grid_builders(n, k):
+            entries = size * max(n, 1)
+            monkeypatch.setattr(seqcore, "FAMILY_ENTRY_LIMIT", entries)
+            assert len(build()) == size
+            if size:
+                monkeypatch.setattr(seqcore, "FAMILY_ENTRY_LIMIT", entries - 1)
+                with pytest.raises(ValueError, match="^family infeasible"):
+                    build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: family_a_t(40, 3, 3),
+        lambda: family_b_rt(40, 3, 3, 3),
+        lambda: family_b_rt(40, 3, 0, 2),
+        lambda: family_l_leq(40, 3, 0, 40),
+        lambda: initial_segment_leq(40, 3, 10 ** 11),
+    ], ids=["at", "brt", "brt_zero_free", "lleq", "initseg"])
+    def test_huge_family_is_refused_before_any_work(self, monkeypatch, build):
+        monkeypatch.setattr(Family, "of", lambda *args: pytest.fail("work started"))
+        with pytest.raises(ValueError, match="^family infeasible: its members of length 40 "):
+            build()
 
 
 class TestProp10Bound:

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delshadow.seqcore import (
+    FAMILY_ENTRY_LIMIT,
     Component,
     Family,
+    capped_pow,
+    check_family_size,
+    check_size,
     component_of,
     components,
     low_count,
+    member_cap,
     place_label,
     positions_of,
     rank,
@@ -104,6 +109,35 @@ class TestFamily:
     def test_iteration_is_in_leq_order(self):
         a = Family.of(2, 1, [(0, 0), (1, 1), (1, 0), (0, 1)])
         assert list(a) == [(1, 1), (0, 1), (1, 0), (0, 0)]
+
+
+class TestSizeLimits:
+    def test_capped_pow_is_the_capped_power(self):
+        for base, exp, cap in itertools.product(range(6), range(12), range(0, 300, 7)):
+            assert capped_pow(base, exp, cap) == min(base ** exp, cap + 1)
+
+    def test_capped_pow_never_computes_a_huge_power(self):
+        # 3^(10^8) takes minutes; 0 and 1 to any power are cheap.
+        assert capped_pow(3, 10 ** 8, 10 ** 6) == 10 ** 6 + 1
+        assert capped_pow(10 ** 9, 10 ** 8, 0) == 1
+        assert (capped_pow(1, 10 ** 18, 5), capped_pow(0, 10 ** 18, 5)) == (1, 0)
+
+    def test_check_size(self):
+        check_size(9, 3, 2)
+        check_size(0, 3, 10 ** 8)
+        check_size(1, 3, 10 ** 8)
+        with pytest.raises(ValueError, match=r"^size 10 not in \[0, 9\]$"):
+            check_size(10, 3, 2)
+        with pytest.raises(ValueError, match=r"^size -1 not in \[0, 3\^100000000\]$"):
+            check_size(-1, 3, 10 ** 8)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 40, 10 ** 8])
+    def test_entry_limit(self, n):
+        assert member_cap(n) == FAMILY_ENTRY_LIMIT // max(n, 1)
+        check_family_size(member_cap(n), n)
+        with pytest.raises(ValueError, match=f"^family infeasible: its members of length {n} "
+                                             f"hold over {FAMILY_ENTRY_LIMIT} entries$"):
+            check_family_size(member_cap(n) + 1, n)
 
 
 class TestComponents:

@@ -320,6 +320,25 @@ class TestSweepEngine:
             with pytest.raises(ValueError, match=f"sweep infeasible: {refusal} elements"):
                 verify._sweep_universe(n, k)
 
+    def test_sampled_sweep_over_the_draw_limit_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
+        # 10 000 samples of every size at (12, 1): 8 390 656 draws per sample.
+        with pytest.raises(ValueError, match="^sampled search infeasible: 10000 samples of sizes "
+                                             "summing to 8390656 make 83906560000 > 268435456 draws$"):
+            check_theorem1(12, 1, SearchBudget(mode="random"))
+
+    @pytest.mark.parametrize("limit,refused", [(24, False), (23, True)])
+    def test_draw_limit_counts_each_sampled_size_once(self, monkeypatch, limit, refused):
+        # At (2, 2) with max_size 1, sizes 0 and 1 are exact; 3 and 5 are
+        # sampled, 3 samples each: 3 * (3 + 5) = 24 draws.
+        monkeypatch.setattr(verify, "SAMPLE_DRAW_LIMIT", limit)
+        budget = SearchBudget(mode="bounded", max_size=1, samples=3)
+        if refused:
+            with pytest.raises(ValueError, match="make 24 > 23 draws"):
+                verify._search_sizes(2, 2, 0, [3, 5, 3, 0, 1], budget)
+        else:
+            assert len(verify._search_sizes(2, 2, 0, [3, 5, 3, 0, 1], budget)) == 5
+
     def test_infeasible_exhaustive_sweep_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
         # The default budget decides size 0 exactly, so it is refused on every
