@@ -47,8 +47,9 @@ def read_family(stream) -> Family:
 
 
 def write_family(a: Family, stream) -> None:
+    members = list(a)  # Family iterates in <= order; sort before writing anything
     stream.write(f"{a.n} {a.k}\n")
-    for x in a:  # Family iterates in <= order
+    for x in members:
         stream.write(format_sequence(x) + "\n")
 
 

@@ -8,7 +8,10 @@ exact size and the universe has at most EXHAUSTIVE_UNIVERSE_LIMIT (27)
 elements, one dynamic programme over (members chosen, OR of their masks),
 `_exact_search`, decides every exact size of the sweep at once over all its
 m-subsets.  Other sizes are searched over seeded random m-subsets, drawn by
-one fused loop exactly as `random.Random.sample` draws them.  Universes over
+one fused loop exactly as `random.Random.sample` draws them.  A check passes
+each sampled size its value under test as a bound: a sample stops being
+scored once it cannot beat the best, but is still drawn, so the stream and
+every report are those of the unbounded search.  Universes over
 SWEEP_UNIVERSE_LIMIT elements are refused before any work.  The lemma and
 proposition sweeps read shadow sizes off the same child masks; there `Family`
 is built only as the input of the system under test or as a witness, with
@@ -27,7 +30,7 @@ from math import ceil, comb, inf, log
 from typing import NamedTuple
 
 from . import extremal, famio, orders, shadow
-from .seqcore import Family, Seq, components, low_count, zero_count
+from .seqcore import Family, Seq, capped_pow, components, low_count, zero_count
 
 EXHAUSTIVE_UNIVERSE_LIMIT = 27
 
@@ -164,18 +167,20 @@ def _witness(n: int, k: int, codes: int) -> Family:
 # Python 3.11).
 SWEEP_UNIVERSE_LIMIT = 4096
 
-# A sampled instance costs 0.4-0.6 us at U = 4 and 0.85-2.8 us for m = 3..20
-# at U = 27; a two-worker pool adds 15-20 ms to a sweep: start, masks in each
-# worker, task traffic and shutdown (2 vCPUs, Python 3.11, fork).  Measured
-# there, sampled sweeps broke even at 30 000-40 000 samples at (2, 1), (3, 1)
+# A sampled instance costs 0.6 us at U = 4 and 1.2-3.5 us for m = 3..20 at
+# U = 27, or 0.4 us and 1.2-2.7 us under the closed form as a bound; a
+# two-worker pool adds 15-20 ms to a sweep: start, masks in each worker, task
+# traffic and shutdown (2 vCPUs, Python 3.11, fork).  Measured there, before
+# bounds, sampled sweeps broke even at 30 000-40 000 samples at (2, 1), (3, 1)
 # and (3, 2).  Exact sizes never go to the pool: the DP decides all of them in
 # 5-8 ms at U = 27.
 POOL_MIN_SAMPLES = 33_334
 
-# A sampled size m draws m members per sample.  One draw costs 0.17 us at
-# (3, 2) and 0.78 us at (12, 1) (2 vCPUs, Python 3.11), so a sweep of more
-# draws than this runs for minutes and is refused; the bounded (3, 2) sweeps
-# of 40 000 samples make 7.56 M.
+# A sampled size m draws m members per sample.  One draw costs 0.20 us at
+# (3, 2) and 0.25 us at (12, 1), or 0.12 and 0.18 us under the closed form as
+# a bound (2 vCPUs, Python 3.11), so a sweep of more draws than this runs for
+# minutes and is refused; the bounded (3, 2) sweeps of 40 000 samples make
+# 7.56 M.
 SAMPLE_DRAW_LIMIT = 1 << 28
 
 
@@ -183,9 +188,10 @@ class _Best(NamedTuple):
     """One size's search result: the least shadow found, a family attaining
     it as a bitmask of member codes, whether the search was exact, and its
     instance count: the samples drawn, or for an exact size the C(U, m)
-    m-subsets that the DP decides over.  A mask, not a tuple of codes,
-    because a sweep keeps one result per size: at (12, 1) the tuples of 4097
-    sizes held 357 MB."""
+    m-subsets that the DP decides over.  A sampled size searched under a
+    bound reports only a value below it; with none, its value is the bound
+    and its codes 0.  A mask, not a tuple of codes, because a sweep keeps one
+    result per size: at (12, 1) the tuples of 4097 sizes held 357 MB."""
 
     value: int
     codes: int
@@ -234,11 +240,12 @@ def _sample_rng(seed: int, n: int, k: int, m: int, r_del: int) -> random.Random:
 
 
 def _seeded_sample(masks: list[int], n: int, k: int, m: int, r_del: int,
-                   budget: SearchBudget) -> _Best:
-    """A sampled size's search: `_sample_search` over `budget.samples` random
-    m-subsets, drawn from the stream that `_sample_rng` seeds for the size."""
+                   budget: SearchBudget, bound=inf) -> _Best:
+    """A sampled size's search: `_sample_search` below `bound` over
+    `budget.samples` random m-subsets, drawn from the stream that
+    `_sample_rng` seeds for the size."""
     rng = _sample_rng(budget.rng_seed, n, k, m, r_del)
-    return _sample_search(masks, m, rng, budget.samples)
+    return _sample_search(masks, m, rng, budget.samples, bound)
 
 
 def _exact_search(masks: list[int], top: int) -> list[_Best]:
@@ -280,8 +287,11 @@ def _exact_search(masks: list[int], top: int) -> list[_Best]:
     return results
 
 
-def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -> _Best:
-    """Least popcount of the OR of m masks over `samples` random m-subsets.
+def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int,
+                   bound=inf) -> _Best:
+    """Least popcount below `bound` of the OR of m masks over `samples` random
+    m-subsets, with the first sample that reaches it; `bound` with codes 0
+    when no sample goes below it.
 
     Each subset is the one `rng.sample(range(len(masks)), m)` would draw, from
     the same `getrandbits` calls: this is CPython's `Random.sample` (a partial
@@ -291,13 +301,21 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -
     Each drawn mask is OR-ed in as it is drawn.  A sample that beats the best
     so far keeps its chosen set; the witness bitmask is built once, at the end,
     in O(m + U) by setting bits in a bytearray.
+
+    The best starts at `bound`.  An OR only gains bits, so under a finite
+    bound a pool sample stops scoring once its OR has as many bits as the
+    best (branch and bound; Land and Doig, 1960), and its remaining draws
+    only consume their words: the stream, and so every later subset, is the
+    unbounded search's.  Without a bound each sample is scored once, after
+    its last draw, because a popcount per draw of wide masks costs more than
+    it saves.
     """
     size = len(masks)
     getrandbits = rng.getrandbits
     setsize = 21  # Random.sample's size of a small set minus an empty list
     if m > 5:
         setsize += 4 ** ceil(log(m * 3, 4))
-    best = inf
+    best = bound
     chosen = ()
     if size <= setsize:
         # Pool: the draw from the first `limit` entries is swapped to the
@@ -306,20 +324,51 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int) -
         tail = size - m
         limits = range(size, tail, -1)
         draws = list(zip(limits, map(int.bit_length, limits), range(size - 1, tail - 1, -1)))
-        for _ in range(samples):
-            pool = base[:]
-            acc = 0
-            for limit, bits, last in draws:
-                j = getrandbits(bits)
-                while j >= limit:
+        if bound == inf or not m:
+            for _ in range(samples):
+                pool = base[:]
+                acc = 0
+                for limit, bits, last in draws:
                     j = getrandbits(bits)
-                x = pool[j]
-                pool[j] = pool[last]
-                pool[last] = x
-                acc |= masks[x]
-            v = acc.bit_count()
-            if v < best:
-                best, chosen = v, pool[tail:]
+                    while j >= limit:
+                        j = getrandbits(bits)
+                    x = pool[j]
+                    pool[j] = pool[last]
+                    pool[last] = x
+                    acc |= masks[x]
+                v = acc.bit_count()
+                if v < best:
+                    best, chosen = v, pool[tail:]
+        else:
+            (first, first_bits, first_last), rest = draws[0], draws[1:]
+            for _ in range(samples):
+                j = getrandbits(first_bits)
+                while j >= first:
+                    j = getrandbits(first_bits)
+                acc = masks[j]
+                todo = iter(rest)
+                # A fresh pool maps j to j, so a sample that loses at its
+                # first draw copies nothing.
+                if acc.bit_count() < best:
+                    pool = base[:]
+                    pool[j] = first_last
+                    pool[first_last] = j
+                    for limit, bits, last in todo:
+                        j = getrandbits(bits)
+                        while j >= limit:
+                            j = getrandbits(bits)
+                        x = pool[j]
+                        pool[j] = pool[last]
+                        pool[last] = x
+                        acc |= masks[x]
+                        if acc.bit_count() >= best:
+                            break
+                    else:
+                        best, chosen = acc.bit_count(), pool[tail:]
+                        continue
+                for limit, bits, _ in todo:
+                    while getrandbits(bits) >= limit:
+                        pass
     else:
         bits = size.bit_length()
         picks = range(m)
@@ -355,10 +404,14 @@ def _worker_search(args) -> _Best:
     return _seeded_sample(_worker_masks, *args)
 
 
-def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> list[_Best]:
+def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget,
+                  bounds=None) -> list[_Best]:
     """Search every size in `sizes` and return one result per size, in order.
 
     Repeated sizes are searched once: the search of a size is deterministic.
+    `bounds`, one per size, are the values under test: a sampled size reports
+    only a value below the largest bound among its occurrences, and that
+    bound otherwise (see `_sample_search`).  Exact sizes ignore them.
     All exact sizes are decided in-process by one `_exact_search`.  Sampled
     sizes with fewer than POOL_MIN_SAMPLES samples in total run in-process;
     more are spread over a process pool, largest first, with the masks built
@@ -367,6 +420,9 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
     """
     size = _sweep_universe(n, k)
     distinct = list(dict.fromkeys(sizes))
+    bound = dict.fromkeys(distinct, -inf)
+    for m, b in zip(sizes, [inf] * len(sizes) if bounds is None else bounds):
+        bound[m] = max(bound[m], b)
     exact, sampled = [], []
     for m in distinct:
         if not (0 <= m <= size):
@@ -396,10 +452,11 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget) -> li
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_load_worker_masks, initargs=(n, k, r_del)
         ) as pool:
-            tasks = [(n, k, m, r_del, budget) for m in order]
+            tasks = [(n, k, m, r_del, budget, bound[m]) for m in order]
             found.update(zip(order, pool.map(_worker_search, tasks)))
     else:
-        found.update((m, _seeded_sample(masks, n, k, m, r_del, budget)) for m in sampled)
+        found.update((m, _seeded_sample(masks, n, k, m, r_del, budget, bound[m]))
+                     for m in sampled)
     return [found[m] for m in sizes]
 
 
@@ -426,10 +483,12 @@ def brute_force_min_shadow(
 
 def _sweep_sizes(rep, n, k, r_del, budget, expected, what) -> VerificationReport:
     """Brute-force minimum of |delta_r A| at every size m against expected(m);
-    `what` names the expected value in the violation texts."""
-    size = _sweep_universe(n, k)
-    for m, res in enumerate(_search_sizes(n, k, r_del, range(size + 1), budget)):
-        want = expected(m)
+    `what` names the expected value in the violation texts.  A sampled size
+    is searched below its expected value: only a value below it is a
+    violation."""
+    sizes = range(_sweep_universe(n, k) + 1)
+    wants = [expected(m) for m in sizes]
+    for m, want, res in zip(sizes, wants, _search_sizes(n, k, r_del, sizes, budget, wants)):
         rep.instances_checked += res.instances
         if res.exact and res.value != want:
             detail = f"size {m}: brute min {res.value} != {what} {want}"
@@ -455,12 +514,14 @@ def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     """Simplicial initial segments minimise the full deletion shadow on {0,1}^n."""
     rep = VerificationReport("theorem2", {"n": n, "k": 1, "mode": budget.mode})
     _sweep_universe(n, 1)  # refuse before sorting {0,1}^n
-    order = orders.simplicial_sorted(n)  # each segment is a prefix
-
-    def seg_shadow(m):
-        return len(shadow.delta_r(Family(n, 1, frozenset(order[:m])), 1)) if m else 0
-
-    return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow, "simplicial")
+    # Each segment is a prefix of the order, so its shadow grows by one
+    # member's shadow per size.
+    seen: set[Seq] = set()
+    seg_shadow = [0]
+    for x in orders.simplicial_sorted(n):
+        seen |= shadow.delta_r(Family(n, 1, frozenset((x,))), 1).members
+        seg_shadow.append(len(seen))
+    return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow.__getitem__, "simplicial")
 
 
 @_timed
@@ -474,7 +535,8 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
         for t in range(k + 1):
             b = extremal.family_b_rt(n, k, r, t)
             cases.append((r, t, len(b), len(shadow.delta_r(b, k)) if len(b) else 0))
-    results = _search_sizes(n, k, k, [m for _, _, m, _ in cases], budget)
+    results = _search_sizes(n, k, k, [m for _, _, m, _ in cases], budget,
+                            [actual for *_, actual in cases])
     for (r, t, m, actual), res in zip(cases, results):
         rep.instances_checked += res.instances
         if res.value < actual:
@@ -507,12 +569,11 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     rep = VerificationReport("a_t", {"n": n, "k": k, "mode": budget.mode})
     if k < 2:
         raise ValueError("the sub-cube check needs k >= 2")
-    # The sum is at least k and at least 2^n: the first two tests refuse huge
-    # inputs before any power is computed.
+    # The sum has k terms, so the first test bounds its loop; capped_pow
+    # computes no power past the limit.
     if n >= 0 and (
         k > A_T_MEMBER_LIMIT
-        or n > A_T_MEMBER_LIMIT.bit_length()
-        or sum(t ** n for t in range(1, k + 1)) > A_T_MEMBER_LIMIT
+        or sum(capped_pow(t, n, A_T_MEMBER_LIMIT) for t in range(1, k + 1)) > A_T_MEMBER_LIMIT
     ):
         raise ValueError(
             f"a_t infeasible: A_1..A_k at n={n}, k={k} have over {A_T_MEMBER_LIMIT} members"

@@ -46,6 +46,13 @@ class TestFamilyFormat:
         write_family(Family.of(2, 1, [(0, 0), (1, 1), (0, 1)]), buf)
         assert buf.getvalue() == "2 1\n1 1\n0 1\n0 0\n"
 
+    def test_a_failed_sort_writes_nothing(self):
+        # The trusting constructor takes a member that leq_key cannot key.
+        buf = io.StringIO()
+        with pytest.raises(TypeError):
+            write_family(Family(2, 1, frozenset({(0, 1), (0, "1")})), buf)
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize(
         "text,fragment",
         [

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import os
+import random
 from math import comb
 from unittest import mock
 
@@ -397,6 +400,80 @@ class TestSampleKernel:
         masks = child_masks(n, 1, 0)
         for m, got in zip(sizes, verify._search_sizes(n, 1, 0, sizes, budget)):
             assert got == _reference_search(masks, n, 1, m, 0, budget), m
+
+
+class TestBoundedKernel:
+    """Under a bound, the kernel stops scoring a sample once it cannot beat
+    the best, yet draws every sample: the stream is rng.sample's, a value
+    below the bound is the unbounded search's, field by field, and no value
+    below it gives (bound, 0, False, samples)."""
+
+    # (n, k, m, samples): at U = 9 every m uses the pool; at U = 27, m <= 5
+    # the set and m >= 6 the pool; at U = 128, m = 6 the set and m >= 40 the
+    # pool.  Every m = U uses the pool.
+    CASES = [
+        (2, 2, 0, 200), (2, 2, 1, 200), (2, 2, 4, 200), (2, 2, 9, 200),
+        (3, 2, 0, 200), (3, 2, 1, 200), (3, 2, 3, 200), (3, 2, 5, 200),
+        (3, 2, 6, 200), (3, 2, 14, 200), (3, 2, 27, 200),
+        (7, 1, 0, 20), (7, 1, 1, 20), (7, 1, 6, 20), (7, 1, 40, 20), (7, 1, 128, 20),
+    ]
+
+    @pytest.mark.parametrize("n,k,m,samples", CASES)
+    def test_stream_and_results_equal_the_unbounded_search(self, n, k, m, samples):
+        masks = child_masks(n, k, 0)
+        least = min_delta_shadow_size(n, k, m)
+        unbounded = verify._sample_search(masks, m, random.Random(m), samples)
+        for bound in (0, 1, least, least + 1, float("inf")):
+            rng = random.Random(m)
+            got = verify._sample_search(masks, m, rng, samples, bound)
+            twin = random.Random(m)
+            for _ in range(samples):
+                twin.sample(range(len(masks)), m)
+            assert rng.getstate() == twin.getstate(), bound
+            if unbounded.value < bound:
+                assert got == unbounded, bound
+            else:
+                assert got == (bound, 0, False, samples), bound
+
+    def test_a_repeated_size_takes_its_largest_bound(self):
+        budget = SearchBudget(mode="random", samples=30, rng_seed=9)
+        unbounded = verify._search_sizes(3, 2, 0, [8, 1], budget)
+        assert unbounded[0].value < 100
+        got = verify._search_sizes(3, 2, 0, [8, 1, 8], budget, [0, 0, 100])
+        assert got == [unbounded[0], (0, 0, False, 30), unbounded[0]]
+
+    def test_forced_pool_matches_one_worker(self, monkeypatch, pool_spy):
+        budget = SearchBudget(mode="bounded", max_size=6, samples=300, rng_seed=2)
+        sizes = list(range(28)) + [10, 15]
+        bounds = [min_delta_shadow_size(3, 2, m) + m % 3 - 1 for m in range(28)] + [0, 99]
+        monkeypatch.setenv("DELSHADOW_THREADS", "1")
+        serial = verify._search_sizes(3, 2, 0, sizes, budget, bounds)
+        assert pool_spy == []
+        monkeypatch.setattr(verify, "POOL_MIN_SAMPLES", 0)
+        monkeypatch.setenv("DELSHADOW_THREADS", "2")
+        pooled = verify._search_sizes(3, 2, 0, sizes, budget, bounds)
+        assert len(pool_spy) == 1
+        assert pooled == serial
+        assert any(r.value < b for r, b in zip(serial, bounds) if not r.exact)
+
+    # sha256 of the report of check_theorem1(3, 2) under BROKEN_BUDGET with the
+    # closed form off by +1 and by -1, recorded from the unbounded search.
+    BROKEN_BUDGET = SearchBudget(mode="bounded", max_size=6, samples=2400, rng_seed=4)
+    BROKEN_DIGESTS = {
+        1: (16, "9f1612f21f984e7a32884e707fc560967c941d732b531b729df0182d34df0fc1"),
+        -1: (14, "3a6751a7ba12adb65ceef060464577625257ef8f8f4200440b44b80998f6bba5"),
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_reports_under_a_broken_closed_form_are_unchanged(self, monkeypatch, threads, off):
+        right = extremal.min_delta_shadow_size
+        monkeypatch.setattr(extremal, "min_delta_shadow_size",
+                            lambda n, k, m: right(n, k, m) + off)
+        monkeypatch.setenv("DELSHADOW_THREADS", threads)
+        rep = check_theorem1(3, 2, self.BROKEN_BUDGET).to_dict(include_elapsed=False)
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert (len(rep["violations"]), digest) == self.BROKEN_DIGESTS[off]
 
 
 def _enumerable_sizes(size):
