@@ -167,8 +167,8 @@ def _witness(n: int, k: int, codes: int) -> Family:
 # Python 3.11).
 SWEEP_UNIVERSE_LIMIT = 4096
 
-# A sampled instance costs 0.6 us at U = 4 and 1.2-3.5 us for m = 3..20 at
-# U = 27, or 0.4 us and 1.2-2.7 us under the closed form as a bound; a
+# A sampled instance costs 0.6 us at U = 4 and 0.8-3.2 us for m = 3..20 at
+# U = 27, or 0.4 us and 0.7-2.1 us under the closed form as a bound; a
 # two-worker pool adds 15-20 ms to a sweep: start, masks in each worker, task
 # traffic and shutdown (2 vCPUs, Python 3.11, fork).  Measured there, before
 # bounds, sampled sweeps broke even at 30 000-40 000 samples at (2, 1), (3, 1)
@@ -176,8 +176,8 @@ SWEEP_UNIVERSE_LIMIT = 4096
 # 5-8 ms at U = 27.
 POOL_MIN_SAMPLES = 33_334
 
-# A sampled size m draws m members per sample.  One draw costs 0.20 us at
-# (3, 2) and 0.25 us at (12, 1), or 0.12 and 0.18 us under the closed form as
+# A sampled size m draws m members per sample.  One draw costs 0.19 us at
+# (3, 2) and 0.31 us at (12, 1), or 0.14 and 0.21 us under the closed form as
 # a bound (2 vCPUs, Python 3.11), so a sweep of more draws than this runs for
 # minutes and is refused; the bounded (3, 2) sweeps of 40 000 samples make
 # 7.56 M.
@@ -189,9 +189,10 @@ class _Best(NamedTuple):
     it as a bitmask of member codes, whether the search was exact, and its
     instance count: the samples drawn, or for an exact size the C(U, m)
     m-subsets that the DP decides over.  A sampled size searched under a
-    bound reports only a value below it; with none, its value is the bound
-    and its codes 0.  A mask, not a tuple of codes, because a sweep keeps one
-    result per size: at (12, 1) the tuples of 4097 sizes held 357 MB."""
+    bound reports only a value below it; when no sample goes below the
+    bound, its value is the bound and its codes 0.  A mask, not a tuple of
+    codes, because a sweep keeps one result per size: at (12, 1) the tuples
+    of 4097 sizes held 357 MB."""
 
     value: int
     codes: int
@@ -306,9 +307,10 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int,
     bound a pool sample stops scoring once its OR has as many bits as the
     best (branch and bound; Land and Doig, 1960), and its remaining draws
     only consume their words: the stream, and so every later subset, is the
-    unbounded search's.  Without a bound each sample is scored once, after
-    its last draw, because a popcount per draw of wide masks costs more than
-    it saves.
+    unbounded search's.  Without a bound the same loop scores each sample
+    once, after its last draw: pruning against the running best popcounts
+    every draw, which made `brute_force_min_shadow` at (12, 1), 20 samples
+    of masks 2048 bits wide, 1.3x slower.
     """
     size = len(masks)
     getrandbits = rng.getrandbits
@@ -317,18 +319,29 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int,
         setsize += 4 ** ceil(log(m * 3, 4))
     best = bound
     chosen = ()
-    if size <= setsize:
+    if size <= setsize and m:
         # Pool: the draw from the first `limit` entries is swapped to the
-        # pool's tail, so a sample's chosen set is pool[size - m:].
+        # pool's tail, so a sample's chosen set is pool[size - m:].  Size 0
+        # has no first draw and takes the set loop, which draws nothing.
         base = list(range(size))
         tail = size - m
         limits = range(size, tail, -1)
         draws = list(zip(limits, map(int.bit_length, limits), range(size - 1, tail - 1, -1)))
-        if bound == inf or not m:
-            for _ in range(samples):
+        (first, first_bits, first_last), rest = draws[0], draws[1:]
+        prune = bound < inf
+        for _ in range(samples):
+            j = getrandbits(first_bits)
+            while j >= first:
+                j = getrandbits(first_bits)
+            acc = masks[j]
+            todo = iter(rest)
+            # A fresh pool maps j to j, so a sample that loses at its first
+            # draw copies nothing.
+            if not prune or acc.bit_count() < best:
                 pool = base[:]
-                acc = 0
-                for limit, bits, last in draws:
+                pool[j] = first_last
+                pool[first_last] = j
+                for limit, bits, last in todo:
                     j = getrandbits(bits)
                     while j >= limit:
                         j = getrandbits(bits)
@@ -336,39 +349,16 @@ def _sample_search(masks: list[int], m: int, rng: random.Random, samples: int,
                     pool[j] = pool[last]
                     pool[last] = x
                     acc |= masks[x]
-                v = acc.bit_count()
-                if v < best:
-                    best, chosen = v, pool[tail:]
-        else:
-            (first, first_bits, first_last), rest = draws[0], draws[1:]
-            for _ in range(samples):
-                j = getrandbits(first_bits)
-                while j >= first:
-                    j = getrandbits(first_bits)
-                acc = masks[j]
-                todo = iter(rest)
-                # A fresh pool maps j to j, so a sample that loses at its
-                # first draw copies nothing.
-                if acc.bit_count() < best:
-                    pool = base[:]
-                    pool[j] = first_last
-                    pool[first_last] = j
-                    for limit, bits, last in todo:
-                        j = getrandbits(bits)
-                        while j >= limit:
-                            j = getrandbits(bits)
-                        x = pool[j]
-                        pool[j] = pool[last]
-                        pool[last] = x
-                        acc |= masks[x]
-                        if acc.bit_count() >= best:
-                            break
-                    else:
-                        best, chosen = acc.bit_count(), pool[tail:]
-                        continue
-                for limit, bits, _ in todo:
-                    while getrandbits(bits) >= limit:
-                        pass
+                    if prune and acc.bit_count() >= best:
+                        break
+                else:
+                    v = acc.bit_count()
+                    if v < best:
+                        best, chosen = v, pool[tail:]
+                    continue
+            for limit, bits, _ in todo:
+                while getrandbits(bits) >= limit:
+                    pass
     else:
         bits = size.bit_length()
         picks = range(m)
@@ -411,7 +401,8 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget,
     Repeated sizes are searched once: the search of a size is deterministic.
     `bounds`, one per size, are the values under test: a sampled size reports
     only a value below the largest bound among its occurrences, and that
-    bound otherwise (see `_sample_search`).  Exact sizes ignore them.
+    bound otherwise (see `_sample_search`); a count that differs from the
+    sizes' is refused.  Exact sizes ignore them.
     All exact sizes are decided in-process by one `_exact_search`.  Sampled
     sizes with fewer than POOL_MIN_SAMPLES samples in total run in-process;
     more are spread over a process pool, largest first, with the masks built
@@ -421,7 +412,9 @@ def _search_sizes(n: int, k: int, r_del: int, sizes, budget: SearchBudget,
     size = _sweep_universe(n, k)
     distinct = list(dict.fromkeys(sizes))
     bound = dict.fromkeys(distinct, -inf)
-    for m, b in zip(sizes, [inf] * len(sizes) if bounds is None else bounds):
+    if bounds is None:
+        bounds = [inf] * len(sizes)
+    for m, b in zip(sizes, bounds, strict=True):
         bound[m] = max(bound[m], b)
     exact, sampled = [], []
     for m in distinct:

@@ -442,6 +442,12 @@ class TestBoundedKernel:
         got = verify._search_sizes(3, 2, 0, [8, 1, 8], budget, [0, 0, 100])
         assert got == [unbounded[0], (0, 0, False, 30), unbounded[0]]
 
+    @pytest.mark.parametrize("bounds", [[5], [5, 5, 5]])
+    def test_a_bound_count_unlike_the_sizes_is_refused(self, bounds):
+        budget = SearchBudget(mode="random", samples=30, rng_seed=9)
+        with pytest.raises(ValueError):
+            verify._search_sizes(3, 2, 0, [8, 1], budget, bounds)
+
     def test_forced_pool_matches_one_worker(self, monkeypatch, pool_spy):
         budget = SearchBudget(mode="bounded", max_size=6, samples=300, rng_seed=2)
         sizes = list(range(28)) + [10, 15]
