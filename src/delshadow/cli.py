@@ -177,7 +177,7 @@ def _cmd_bound(args) -> int:
     fam = _read_family(args.infile)
     r = _parse_radius(args.r, fam.k)
     bound = extremal.prop10_lower_bound(fam, r)
-    actual = len(shadow.delta_r(fam, r)) if len(fam) else 0
+    actual = len(shadow.delta_r(fam, r))
     if args.json:
         print(
             json.dumps(
@@ -214,14 +214,13 @@ def _cmd_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = [s for s in args.suite.split(",") if s]
+    if not names:
+        raise ValueError(f"--suite names no check; expected one of {sorted(verify.ALL_CHECKS)}")
     budget = verify.SearchBudget(
         mode=args.mode, max_size=args.max_size, samples=args.samples, rng_seed=args.seed
     )
     reports = verify.run_suite(names, budget, n=args.n, k=args.k)
-    failed = False
-    for rep in reports:
-        if not rep.ok and rep.check in verify.PROVEN_CHECKS:
-            failed = True
+    failed = any(not rep.ok and rep.check in verify.PROVEN_CHECKS for rep in reports)
     if args.json:
         print(json.dumps([rep.to_dict() for rep in reports]))
     else:

@@ -17,8 +17,8 @@ from math import comb
 
 from .orders import colex_combinations, colex_initial_positions, level_labels
 from .seqcore import (
-    Family, Seq, capped_pow, check_family_size, check_size, low_count, member_cap,
-    place_label, reduced,
+    Family, Seq, capped_pow, check_family_size, check_radius, check_shape, check_size,
+    low_count, member_cap, place_label, reduced,
 )
 
 
@@ -243,8 +243,7 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
     (nothing at i = 0); the single partial component contributes its
     Lemma-4 count ones_count_colex(n, i, q).
     """
-    if k < 1 or n < 0:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
+    check_shape(n, k)
     check_size(m, k + 1, n)
     total = 0
     remaining = m
@@ -269,13 +268,6 @@ def min_delta_shadow_size(n: int, k: int, m: int) -> int:
         n_components //= k
     assert remaining == 0
     return total
-
-
-def _check_length(n: int) -> None:
-    """Refuse a negative length with the message of Family.of, before a
-    builder's own range checks."""
-    if n < 0:
-        raise ValueError(f"length n must be >= 0, got {n}")
 
 
 def _few_low_family(n: int, k: int, low: range, high: range, most: int) -> Family:
@@ -306,23 +298,22 @@ def _few_low_family(n: int, k: int, low: range, high: range, most: int) -> Famil
                             x.insert(i, e)
                         yield tuple(x)
 
-    return Family.of(n, k, members())
+    return Family(n, k, frozenset(members()))
 
 
 def family_l_leq(n: int, k: int, r_del: int, s: int) -> Family:
     """All sequences with at most s coordinates of value <= r_del: the levels
     i <= s of `level_size`."""
-    _check_length(n)
+    check_shape(n, k)
     if not (0 <= s <= n):
         raise ValueError(f"level bound {s} not in [0, {n}]")
-    if not (0 <= r_del <= k):
-        raise ValueError(f"deletion radius {r_del} not in [0, {k}]")
+    check_radius(r_del, k)
     return _few_low_family(n, k, range(r_del + 1), range(r_del + 1, k + 1), s)
 
 
 def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
     """All sequences with at most r zeros and all coordinates in {0,...,t}."""
-    _check_length(n)
+    check_shape(n, k)
     if not (0 <= r <= k and 0 <= t <= k):
         raise ValueError(f"need 0 <= r, t <= {k}, got r={r}, t={t}")
     return _few_low_family(n, k, range(1), range(1, t + 1), r)
@@ -330,11 +321,11 @@ def family_b_rt(n: int, k: int, r: int, t: int) -> Family:
 
 def family_a_t(n: int, k: int, t: int) -> Family:
     """The cube {0,...,t-1}^n inside {0,...,k}^n."""
-    _check_length(n)
+    check_shape(n, k)
     if not (1 <= t <= k):
         raise ValueError(f"need 1 <= t <= {k}, got t={t}")
     check_family_size(capped_pow(t, n, member_cap(n)), n)
-    return Family.of(n, k, itertools.product(range(t), repeat=n))
+    return Family(n, k, frozenset(itertools.product(range(t), repeat=n)))
 
 
 def canonical_family(kind: str, **params) -> Family:
@@ -364,7 +355,6 @@ def prop10_lower_bound(a: Family, r_del: int) -> Fraction:
     |delta_r A|, where A_s collects members with exactly s low coordinates."""
     if a.n < 1:
         raise ValueError("bound needs n >= 1")
-    if not (0 <= r_del <= a.k):
-        raise ValueError(f"deletion radius {r_del} not in [0, {a.k}]")
+    check_radius(r_del, a.k)
     weighted = sum(low_count(x, r_del) for x in a.members)
     return Fraction(weighted, a.n * (r_del + 1))

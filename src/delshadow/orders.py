@@ -20,7 +20,7 @@ import itertools
 from math import comb
 
 from .seqcore import (
-    Family, Seq, check_family_size, check_size, place_label, positions_of, rank,
+    Family, Seq, check_family_size, check_shape, check_size, place_label, positions_of, rank,
 )
 
 
@@ -154,9 +154,10 @@ def iter_leq(n: int, k: int):
 
 def initial_segment_leq(n: int, k: int, m: int) -> Family:
     """The first m sequences of {0,...,k}^n in <= order."""
+    check_shape(n, k)
     check_size(m, k + 1, n)
     check_family_size(m, n)
-    return Family.of(n, k, itertools.islice(iter_leq(n, k), m))
+    return Family(n, k, frozenset(itertools.islice(iter_leq(n, k), m)))
 
 
 def simplicial_sorted(n: int) -> list[Seq]:
@@ -166,6 +167,6 @@ def simplicial_sorted(n: int) -> list[Seq]:
 
 def simplicial_initial_segment(n: int, m: int) -> Family:
     """The first m sequences of {0,1}^n in simplicial order."""
-    if not (0 <= m <= 2 ** n):
-        raise ValueError(f"size {m} not in [0, {2 ** n}]")
-    return Family.of(n, 1, simplicial_sorted(n)[:m])
+    check_shape(n, 1)
+    check_size(m, 2, n)
+    return Family(n, 1, frozenset(simplicial_sorted(n)[:m]))

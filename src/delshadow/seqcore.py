@@ -37,6 +37,20 @@ def low_count(x: Seq, r: int) -> int:
     return sum(1 for e in x if e <= r)
 
 
+def check_shape(n: int, k: int) -> None:
+    """Refuse k < 1, then n < 0: the rule on the (n, k) of every {0,...,k}^n."""
+    if k < 1:
+        raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
+    if n < 0:
+        raise ValueError(f"length n must be >= 0, got {n}")
+
+
+def check_radius(r_del: int, k: int) -> None:
+    """Refuse a deletion radius outside [0, k]."""
+    if not (0 <= r_del <= k):
+        raise ValueError(f"deletion radius {r_del} not in [0, {k}]")
+
+
 def capped_pow(base: int, exp: int, cap: int) -> int:
     """min(base ** exp, cap + 1) for exp >= 0.  A power of base > 1 that is
     plainly above cap by bit length is never computed, so a huge exponent
@@ -86,7 +100,9 @@ def check_family_size(members: int, n: int) -> None:
 class Family:
     """A finite set of equal-length sequences over a common alphabet {0,...,k}.
 
-    `Family.of` validates its input; the plain constructor trusts its caller.
+    `Family.of` validates its input, for callers outside the package.  The
+    plain constructor trusts its caller, as every builder inside does once it
+    has checked (n, k) and its own parameters.
     """
 
     n: int
@@ -96,10 +112,7 @@ class Family:
     @classmethod
     def of(cls, n: int, k: int, seqs) -> "Family":
         members = frozenset(tuple(s) for s in seqs)
-        if k < 1:
-            raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
-        if n < 0:
-            raise ValueError(f"length n must be >= 0, got {n}")
+        check_shape(n, k)
         for s in members:
             if len(s) != n:
                 raise ValueError(f"member {s} has length {len(s)}, expected {n}")

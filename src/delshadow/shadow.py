@@ -5,7 +5,7 @@ any coordinate (the full coordinate-deletion shadow).
 """
 from __future__ import annotations
 
-from .seqcore import Family, Seq
+from .seqcore import Family, Seq, check_radius
 
 
 def seq_children(x: Seq, r_del: int) -> set[Seq]:
@@ -17,8 +17,7 @@ def delta_r(a: Family, r_del: int) -> Family:
     """The radius-r_del deletion shadow of a family."""
     if a.n == 0:
         raise ValueError("shadow of a length-0 family is undefined (nothing to delete)")
-    if not (0 <= r_del <= a.k):
-        raise ValueError(f"deletion radius {r_del} not in [0, {a.k}]")
+    check_radius(r_del, a.k)
     out: set[Seq] = set()
     for x in a.members:
         out |= seq_children(x, r_del)

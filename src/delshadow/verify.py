@@ -30,7 +30,7 @@ from math import ceil, comb, inf, log
 from typing import NamedTuple
 
 from . import extremal, famio, orders, shadow
-from .seqcore import Family, Seq, capped_pow, components, low_count, zero_count
+from .seqcore import Family, Seq, capped_pow, check_shape, components, low_count, zero_count
 
 EXHAUSTIVE_UNIVERSE_LIMIT = 27
 
@@ -170,10 +170,10 @@ SWEEP_UNIVERSE_LIMIT = 4096
 # A sampled instance costs 0.6 us at U = 4 and 0.8-3.2 us for m = 3..20 at
 # U = 27, or 0.4 us and 0.7-2.1 us under the closed form as a bound; a
 # two-worker pool adds 15-20 ms to a sweep: start, masks in each worker, task
-# traffic and shutdown (2 vCPUs, Python 3.11, fork).  Measured there, before
-# bounds, sampled sweeps broke even at 30 000-40 000 samples at (2, 1), (3, 1)
-# and (3, 2).  Exact sizes never go to the pool: the DP decides all of them in
-# 5-8 ms at U = 27.
+# traffic and shutdown (2 vCPUs, Python 3.11, fork).  With closed-form
+# bounds, sampled sweeps break even there at 10 000-30 000 samples at (3, 2),
+# 30 000-40 000 at (3, 1) and 150 000-250 000 at (2, 1).  Exact sizes never go
+# to the pool: the DP decides all of them in 5-8 ms at U = 27.
 POOL_MIN_SAMPLES = 33_334
 
 # A sampled size m draws m members per sample.  One draw costs 0.19 us at
@@ -209,10 +209,7 @@ def _is_exact(budget: SearchBudget, size: int, m: int) -> bool:
 
 def _sweep_universe(n: int, k: int) -> int:
     """The universe size (k+1)^n, refusing inputs no sweep can take."""
-    if n < 0:
-        raise ValueError(f"length n must be >= 0, got {n}")
-    if k < 1:
-        raise ValueError(f"alphabet ceiling k must be >= 1, got {k}")
+    check_shape(n, k)
     # (k+1)^n >= 2^n, so both tests imply an oversized universe; they refuse a
     # huge n or k before a power that could take hours is computed.
     if n > SWEEP_UNIVERSE_LIMIT.bit_length() or (n >= 1 and k + 1 > SWEEP_UNIVERSE_LIMIT):
@@ -527,7 +524,7 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
     for r in range(k + 1):
         for t in range(k + 1):
             b = extremal.family_b_rt(n, k, r, t)
-            cases.append((r, t, len(b), len(shadow.delta_r(b, k)) if len(b) else 0))
+            cases.append((r, t, len(b), len(shadow.delta_r(b, k))))
     results = _search_sizes(n, k, k, [m for _, _, m, _ in cases], budget,
                             [actual for *_, actual in cases])
     for (r, t, m, actual), res in zip(cases, results):
@@ -858,7 +855,7 @@ def check_corollary11(budget: SearchBudget) -> VerificationReport:
             for r in range(k):
                 for s in range(n + 1):
                     fam = extremal.family_l_leq(n, k, r, s)
-                    direct = len(shadow.delta_r(fam, r)) if len(fam) else 0
+                    direct = len(shadow.delta_r(fam, r))
                     closed = extremal.l_leq_shadow_size(n, k, r, s)
                     bound = extremal.prop10_lower_bound(fam, r)
                     rep.instances_checked += 1

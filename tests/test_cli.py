@@ -382,6 +382,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("command,err", [
+        ("initseg --n -1 --k 2 --size 1", "length n must be >= 0, got -1"),
+        ("initseg --n 2 --k -1 --size 1", "alphabet ceiling k must be >= 1, got -1"),
+        ("family --kind at --n 2 --k 0 --t 1", "alphabet ceiling k must be >= 1, got 0"),
+        ("minshadow --n -1 --k 0 --size 0", "alphabet ceiling k must be >= 1, got 0"),
+        ("verify --suite ,", f"--suite names no check; expected one of {sorted(ALL_CHECKS)}"),
+        ("verify --suite=", f"--suite names no check; expected one of {sorted(ALL_CHECKS)}"),
+    ], ids=["initseg_n", "initseg_k", "family_k", "minshadow_k", "suite_comma", "suite_empty"])
+    def test_bad_shape_and_empty_suite_are_named(self, capsys, command, err):
+        assert run_cli(capsys, *command.split()) == (2, "", f"error: {err}\n")
+
     def test_deep_minshadow_has_no_traceback(self, capsys):
         # Levels below 1050 are full; the partial component at level 1050
         # lacks one set, so it adds C(1099, 1049) (see ones_count_colex).
@@ -407,3 +418,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["shadow"])
         assert exc.value.code == 2
+
+
+class TestFamilyOfIsForOutsideCallers:
+    """Inside the package every family is built by the trusting constructor,
+    after its (n, k) and parameters are checked."""
+
+    def test_commands_and_checks_never_call_it(self, capsys, monkeypatch):
+        monkeypatch.setattr(Family, "of", lambda *args: pytest.fail("Family.of called"))
+        for command in (
+            "initseg --n 3 --k 2 --size 11",
+            "family --kind lleq --n 3 --k 2 --r 1 --s 2",
+            "family --kind brt --n 3 --k 2 --r 1 --t 2",
+            "family --kind at --n 3 --k 2 --t 2",
+            "minshadow --n 3 --k 2 --size 11",
+        ):
+            code, out, err = run_cli(capsys, *command.split())
+            assert (code, err) == (0, "") and out
+        reports = verify.run_suite(list(ALL_CHECKS), verify.SearchBudget(samples=300))
+        assert [rep.check for rep in reports] == list(ALL_CHECKS)
+        assert all(rep.ok for rep in reports)

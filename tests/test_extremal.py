@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delshadow import extremal, seqcore
+from delshadow import extremal, orders, seqcore
 from delshadow.extremal import (
     SegmentDescriptor,
     SetSystem,
@@ -35,6 +35,7 @@ from delshadow.orders import (
     initial_segment_leq,
     iter_leq,
     level_labels,
+    simplicial_initial_segment,
 )
 from delshadow.famio import read_family, write_family
 from delshadow.seqcore import Family, place_label
@@ -203,8 +204,9 @@ class TestCompress:
 
 
 class TestTrustedConstruction:
-    """delta_r, compress, canonicalize and read_family build their results
-    with the unvalidating constructor; each result must still be valid."""
+    """delta_r, compress, canonicalize, read_family and the generators of
+    initial segments and canonical families build their results with the
+    unvalidating constructor; each result must still be valid."""
 
     @given(st.integers(1, 4), st.integers(1, 3), st.data())
     @settings(max_examples=80)
@@ -224,6 +226,17 @@ class TestTrustedConstruction:
         if s != t:
             outputs.append(compress(a, s, t))
         for b in outputs:
+            assert isinstance(b.members, frozenset)
+            assert b == Family.of(b.n, b.k, b.members)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(4) for k in range(1, 4)])
+    def test_generated_families_equal_their_validated_copies(self, n, k):
+        builds = [build for build, _, _ in _grid_builders(n, k)]
+        builds += [lambda m=m: initial_segment_leq(n, k, m) for m in range((k + 1) ** n + 1)]
+        if k == 1:
+            builds += [lambda m=m: simplicial_initial_segment(n, m) for m in range(2 ** n + 1)]
+        for build in builds:
+            b = build()
             assert isinstance(b.members, frozenset)
             assert b == Family.of(b.n, b.k, b.members)
 
@@ -500,7 +513,13 @@ class TestConstructiveFamilies:
         lambda: initial_segment_leq(40, 3, 10 ** 11),
     ], ids=["at", "brt", "brt_zero_free", "lleq", "initseg"])
     def test_huge_family_is_refused_before_any_work(self, monkeypatch, build):
-        monkeypatch.setattr(Family, "of", lambda *args: pytest.fail("work started"))
+        # The builders collect their members lazily into a frozenset, then
+        # call the trusting Family: failing either call fails before any
+        # member is generated, where a refusal that is missing would hang.
+        for module in (extremal, orders):
+            for name in ("frozenset", "Family"):
+                monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started"),
+                                    raising=False)
         with pytest.raises(ValueError, match="^family infeasible: its members of length 40 "):
             build()
 

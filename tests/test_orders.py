@@ -86,6 +86,12 @@ class TestSimplicial:
     def test_initial_segment(self):
         assert simplicial_initial_segment(2, 2).members == {(0, 0), (1, 0)}
 
+    def test_negative_length_is_named_before_the_size(self):
+        with pytest.raises(ValueError, match=r"^length n must be >= 0, got -1$"):
+            simplicial_initial_segment(-1, 1)
+        with pytest.raises(ValueError, match=r"^size 5 not in \[0, 4\]$"):
+            simplicial_initial_segment(2, 5)
+
 
 class TestCOrder:
     def test_examples(self):
