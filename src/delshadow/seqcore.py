@@ -1,4 +1,5 @@
-"""Sequences over {0,...,k}, families of sequences, and reduced-word components.
+"""Sequences over {0,...,k}, the (n, k) and radius rules, families of sequences
+and reduced-word components.
 
 A sequence is a plain tuple of small integers; positions are 1-indexed
 throughout (position i of x is x[i-1]).  The empty sequence () is a valid
@@ -100,9 +101,8 @@ def check_family_size(members: int, n: int) -> None:
 class Family:
     """A finite set of equal-length sequences over a common alphabet {0,...,k}.
 
-    `Family.of` validates its input, for callers outside the package.  The
-    plain constructor trusts its caller, as every builder inside does once it
-    has checked (n, k) and its own parameters.
+    `Family.of` validates its input, for callers outside the package; the plain
+    constructor trusts its caller, as every builder inside does after its checks.
     """
 
     n: int
