@@ -513,9 +513,9 @@ class TestConstructiveFamilies:
         lambda: initial_segment_leq(40, 3, 10 ** 11),
     ], ids=["at", "brt", "brt_zero_free", "lleq", "initseg"])
     def test_huge_family_is_refused_before_any_work(self, monkeypatch, build):
-        # The builders collect their members lazily into a frozenset, then
-        # call the trusting Family: failing either call fails before any
-        # member is generated, where a refusal that is missing would hang.
+        # The builders collect their members into a frozenset, then call the
+        # trusting Family.  A failing frozenset stops them before the first
+        # member is generated, so a missing refusal fails here, not hangs.
         for module in (extremal, orders):
             for name in ("frozenset", "Family"):
                 monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started"),
