@@ -1,4 +1,5 @@
-"""Compression operators, set-system calculus, and the closed-form minimum shadow.
+"""The colex ones-count cascade, compression operators, and the closed-form
+minimum shadow.
 
 The minimum delta-shadow for a family of given size is attained by an initial
 segment of the <= order: levels fill bottom-up (fewest zeros first), within a
@@ -11,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .orders import colex_combinations, colex_initial_positions, level_labels
+from .orders import colex_initial_positions, level_labels
 from .seqcore import (
     Family, Seq, capped_pow, check_family_size, check_radius, check_shape, check_size,
     low_count, member_cap, place_label, reduced,
@@ -23,40 +23,7 @@ from .seqcore import (
 
 
 # ---------------------------------------------------------------------------
-# Set systems on [n]
-
-
-@dataclass(frozen=True)
-class SetSystem:
-    """A family of r-subsets of [n]."""
-
-    n: int
-    r: int
-    sets: frozenset[frozenset[int]]
-
-    @classmethod
-    def of(cls, n: int, r: int, sets) -> "SetSystem":
-        sets = frozenset(frozenset(s) for s in sets)
-        for s in sets:
-            if len(s) != r:
-                raise ValueError(f"set {sorted(s)} has size {len(s)}, expected {r}")
-            if not s <= set(range(1, n + 1)):
-                raise ValueError(f"set {sorted(s)} not a subset of [{n}]")
-        return cls(n=n, r=r, sets=sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def ones_count(system: SetSystem) -> int:
-    """Number of member sets containing the element 1."""
-    return sum(1 for s in system.sets if 1 in s)
-
-
-def complement_system(system: SetSystem) -> SetSystem:
-    """Complement every member set within [n]; uniform of size n - r."""
-    ground = frozenset(range(1, system.n + 1))
-    return SetSystem.of(system.n, system.n - system.r, (ground - s for s in system.sets))
+# The colex ones-count cascade
 
 
 def ones_count_colex(n: int, r: int, m: int) -> int:
@@ -81,32 +48,6 @@ def ones_count_colex(n: int, r: int, m: int) -> int:
         a -= 1
         i -= 1
     return total
-
-
-@dataclass(frozen=True)
-class SegmentDescriptor:
-    """A colex segment: initial segment of length `upper` minus one of length `lower`."""
-
-    n: int
-    r: int
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper <= comb(self.n, self.r)):
-            raise ValueError(
-                f"need 0 <= lower <= upper <= C({self.n},{self.r}), "
-                f"got lower={self.lower}, upper={self.upper}"
-            )
-
-    def __len__(self) -> int:
-        return self.upper - self.lower
-
-
-def segment_realize(d: SegmentDescriptor) -> SetSystem:
-    """The set system of the colex segment described by d."""
-    sets = list(itertools.islice(colex_combinations(d.n, d.r), d.lower, d.upper))
-    return SetSystem.of(d.n, d.r, sets)
 
 
 def co_initial_ones_count(n: int, r: int, m: int) -> int:

@@ -1,8 +1,10 @@
 """The family text format.
 
 UTF-8 text; '#' lines are comments; the first data line is `n k`; every later
-data line is one sequence as n space-separated integers in [0, k].  Files are
-written sorted in the <= order so output is bit-exact reproducible.
+data line is one sequence as n space-separated integers in [0, k].  Blank lines
+are skipped, except under an `0 k` header, where a blank line after the header
+is the empty sequence (), the only member of length 0.  Files are written
+sorted in the <= order so output is bit-exact reproducible.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ def read_family(stream) -> Family:
     n = k = 0
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line.startswith("#") or not line and (header is None or n):
+            continue  # past an `0 k` header, a blank line is the member ()
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:

@@ -32,41 +32,13 @@ def colex_key(s) -> int:
     return mask
 
 
-def colex_less(s, t) -> bool:
-    """Strict colex order on equal-size position sets."""
-    s, t = frozenset(s), frozenset(t)
-    if len(s) != len(t):
-        raise ValueError(f"colex compares equal-size sets, got sizes {len(s)} and {len(t)}")
-    return colex_key(s) < colex_key(t)
-
-
 def simplicial_key(x: Seq):
     return (rank(x), tuple(sorted(positions_of(x, 1))))
-
-
-def simplicial_less(x: Seq, y: Seq) -> bool:
-    """Strict simplicial order on {0,1}^n."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if any(e > 1 for e in x) or any(e > 1 for e in y):
-        raise ValueError("simplicial order applies to {0,1}-sequences only")
-    return simplicial_key(x) < simplicial_key(y)
 
 
 def c_key(u: Seq, k: int) -> int:
     """Sort key realising <=_c on zero-free words over {1,...,k}; see leq_key."""
     return leq_key(u, k)[1]
-
-
-def c_less(u: Seq, v: Seq, k: int | None = None) -> bool:
-    """Strict <=_c order on equal-length zero-free words."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    if 0 in u or 0 in v:
-        raise ValueError("<=_c applies to zero-free words only")
-    if k is None:
-        k = max(itertools.chain(u, v), default=1)
-    return c_key(u, k) < c_key(v, k)
 
 
 def leq_key(x: Seq, k: int) -> tuple[int, int, int]:
@@ -88,13 +60,6 @@ def leq_key(x: Seq, k: int) -> tuple[int, int, int]:
         else:
             zeros |= 1 << i
     return (zc, c, zeros)
-
-
-def leq_less(x: Seq, y: Seq, k: int) -> bool:
-    """Strict <= order on {0,...,k}^n."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return leq_key(x, k) < leq_key(y, k)
 
 
 def colex_combinations(n: int, r: int):

@@ -166,10 +166,6 @@ class Component:
         )
 
 
-def component_of(x: Seq, k: int) -> Component:
-    return Component(label=reduced(x), n=len(x), k=k)
-
-
 def components(n: int, k: int, zero_count_i: int) -> list[Component]:
     """All components of the level with exactly `zero_count_i` zeros, <=_c order."""
     from .orders import level_labels

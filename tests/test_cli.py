@@ -30,7 +30,7 @@ def family_file(tmp_path, text, name="fam.txt"):
 
 class TestFamilyFormat:
     def test_round_trip(self):
-        for n, k, m in [(2, 1, 3), (3, 2, 11), (2, 3, 0)]:
+        for n, k, m in [(2, 1, 3), (3, 2, 11), (2, 3, 0), (0, 2, 0), (0, 2, 1)]:
             a = initial_segment_leq(n, k, m)
             buf = io.StringIO()
             write_family(a, buf)
@@ -40,6 +40,9 @@ class TestFamilyFormat:
         text = "# a comment\n\n2 1\n0 1\n# trailing\n1 0\n"
         a = read_family(io.StringIO(text))
         assert a.members == {(0, 1), (1, 0)}
+        # Only past an `0 k` header is a blank line the member ().
+        assert read_family(io.StringIO("# c\n\n0 2\n# c\n")).members == set()
+        assert read_family(io.StringIO("# c\n\n0 2\n# c\n\n")).members == {()}
 
     def test_output_is_sorted_in_leq_order(self):
         buf = io.StringIO()
@@ -111,6 +114,14 @@ class TestPipelines:
             )
             assert code == 0
             assert json.loads(out)["min_shadow"] == shadow_size
+
+    def test_length_zero_shadow_reads_back(self, tmp_path, capsys):
+        # The shadow of a length-1 family is {()}: a blank line under `0 2`.
+        src = family_file(tmp_path, "1 2\n0\n2\n")
+        dst = str(tmp_path / "shadow.txt")
+        assert run_cli(capsys, "shadow", "--r", "0", "--in", src, "--out", dst) == (0, "", "")
+        assert Path(dst).read_text() == "0 2\n\n"
+        assert run_cli(capsys, "canonicalize", "--in", dst) == (0, "0 2\n\n", "")
 
     def test_canonicalize_equals_initseg(self, tmp_path, capsys):
         src = family_file(tmp_path, "2 1\n0 0\n1 0\n")

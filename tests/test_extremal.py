@@ -9,13 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from delshadow import extremal, orders, seqcore
 from delshadow.extremal import (
-    SegmentDescriptor,
-    SetSystem,
     canonical_family,
     canonicalize,
     canonicalize_with_potentials,
     co_initial_ones_count,
-    complement_system,
     compress,
     family_a_t,
     family_b_rt,
@@ -23,10 +20,8 @@ from delshadow.extremal import (
     l_leq_shadow_size,
     level_size,
     min_delta_shadow_size,
-    ones_count,
     ones_count_colex,
     prop10_lower_bound,
-    segment_realize,
 )
 from delshadow.orders import (
     c_key,
@@ -42,40 +37,42 @@ from delshadow.seqcore import Family, place_label
 from delshadow.shadow import delta, delta_r, seq_children
 
 
+def _ones(sets) -> int:
+    """How many of the sets contain the element 1."""
+    return sum(1 in s for s in sets)
+
+
+def _complements(n: int, sets) -> set[frozenset[int]]:
+    """Each set complemented within [n]."""
+    ground = frozenset(range(1, n + 1))
+    return {ground - frozenset(s) for s in sets}
+
+
 class TestSetSystems:
     def test_ones_count_examples(self):
-        a = SetSystem.of(4, 2, [{1, 2}, {1, 3}, {2, 3}])
-        assert ones_count(a) == 2
-        full = SetSystem.of(5, 2, itertools.combinations(range(1, 6), 2))
-        assert ones_count(full) == comb(4, 1)
+        first = list(itertools.islice(colex_combinations(4, 2), 3))
+        assert first == [(1, 2), (1, 3), (2, 3)]
+        assert _ones(first) == 2 == ones_count_colex(4, 2, 3)
+        assert _ones(colex_combinations(5, 2)) == comb(4, 1)
 
     def test_complement_examples(self):
-        a = SetSystem.of(3, 1, [{1}, {2}])
-        assert complement_system(a).sets == frozenset({frozenset({2, 3}), frozenset({1, 3})})
+        first = itertools.islice(colex_combinations(3, 1), 2)
+        assert _complements(3, first) == {frozenset({2, 3}), frozenset({1, 3})}
 
     def test_complement_duality(self):
         for n in range(1, 6):
             for r in range(n + 1):
-                full = list(itertools.combinations(range(1, n + 1), r))
-                a = SetSystem.of(n, r, full[:: 2])
-                assert len(a) == ones_count(a) + ones_count(complement_system(a))
+                a = list(colex_combinations(n, r))[::2]
+                assert len(a) == _ones(a) + _ones(_complements(n, a))
 
     def test_complement_of_final_segment_is_initial(self):
         for n in range(1, 7):
             for r in range(n + 1):
                 layer = list(colex_combinations(n, r))
                 for m in range(len(layer) + 1):
-                    final = SetSystem.of(n, r, (frozenset(s) for s in layer[m:]))
-                    comp = complement_system(final)
-                    expected = [
-                        frozenset(s)
-                        for s in itertools.islice(colex_combinations(n, n - r), len(final))
-                    ]
-                    assert comp.sets == frozenset(expected)
-
-    def test_uniformity_enforced(self):
-        with pytest.raises(ValueError):
-            SetSystem.of(3, 2, [{1}, {1, 2}])
+                    final = layer[m:]
+                    expected = itertools.islice(colex_combinations(n, n - r), len(final))
+                    assert _complements(n, final) == {frozenset(s) for s in expected}
 
 
 class TestOnesCountColex:
@@ -106,22 +103,15 @@ class TestOnesCountColex:
 
 
 class TestSegments:
+    # A colex segment is the initial segment of length `upper` minus the one of
+    # length `lower`: colex_combinations sliced from `lower` to `upper`.
     def test_realize_example(self):
-        d = SegmentDescriptor(n=4, r=2, lower=1, upper=3)
-        assert segment_realize(d).sets == frozenset(
-            {frozenset({1, 3}), frozenset({2, 3})}
-        )
+        assert list(itertools.islice(colex_combinations(4, 2), 1, 3)) == [(1, 3), (2, 3)]
 
     def test_degenerate_segments(self):
-        assert len(segment_realize(SegmentDescriptor(4, 2, 2, 2))) == 0
-        plain = segment_realize(SegmentDescriptor(4, 2, 0, 3))
-        assert plain.sets == frozenset(
-            {frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})}
-        )
-
-    def test_invalid_descriptor(self):
-        with pytest.raises(ValueError):
-            SegmentDescriptor(4, 2, 3, 2)
+        assert list(itertools.islice(colex_combinations(4, 2), 2, 2)) == []
+        plain = list(itertools.islice(colex_combinations(4, 2), 0, 3))
+        assert plain == [(1, 2), (1, 3), (2, 3)]
 
 
 class TestLemma9Claims:

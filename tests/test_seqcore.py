@@ -11,7 +11,6 @@ from delshadow.seqcore import (
     capped_pow,
     check_family_size,
     check_size,
-    component_of,
     components,
     low_count,
     member_cap,
@@ -155,8 +154,9 @@ class TestComponents:
         assert all(c.size() == 1 for c in comps)
 
     def test_component_of_1001(self):
-        c = component_of((1, 0, 0, 1), 1)
-        assert c.label == (1, 1)
+        x = (1, 0, 0, 1)
+        assert reduced(x) == (1, 1)
+        c = Component(label=reduced(x), n=len(x), k=1)
         assert c.size() == comb(4, 2)
         members = c.members()
         assert len(members) == 6
