@@ -17,7 +17,7 @@ import types
 
 import pytest
 
-from delshadow import cli, verify
+from delshadow import cli, extremal, verify
 from delshadow.verify import SearchBudget
 
 BUDGETS = {
@@ -106,6 +106,12 @@ def cli_digest(argv: list[str]) -> str:
     finally:
         sys.stdin, verify.time = stdin, clock
     return _sha(f"{code}\0{out.getvalue()}\0{err.getvalue()}")
+
+
+# A failing run: the closed form and the colex count each read 1 too high, so
+# theorem1's violations carry a witness family and lemma3's carry none.
+_FAILING = "verify --suite theorem1,lemma3 --n 2 --k 1 --mode exhaustive"
+FAILING_COMMANDS = [_FAILING, f"{_FAILING} --json"]
 
 
 def write_files(directory) -> None:
@@ -280,6 +286,13 @@ CLI_DIGESTS = {
         "6e655e5435b936060654b3f7499dfdfe99b74def922475b40575be7a33dd30ea",
 }
 
+FAILING_DIGESTS = {
+    _FAILING:
+        "55516d96b21a2ff8733b071831ca15f2803e82c9a20fed17f43f3e714e8d359c",
+    f"{_FAILING} --json":
+        "0ee49659955d7ac714c1c50ea6060272fb31c1d64efd1a6a2969cfb21228a77b",
+}
+
 
 @pytest.fixture(scope="module")
 def reports():
@@ -304,3 +317,11 @@ def test_cli_bytes_are_unchanged(tmp_path, monkeypatch, command):
 
 def test_every_command_is_pinned():
     assert sorted(COMMANDS) == sorted(CLI_DIGESTS)
+
+
+@pytest.mark.parametrize("command", FAILING_COMMANDS)
+def test_failing_verify_bytes_are_unchanged(monkeypatch, command):
+    for name in ("min_delta_shadow_size", "ones_count_colex"):
+        real = getattr(extremal, name)
+        monkeypatch.setattr(extremal, name, lambda *args, real=real: real(*args) + 1)
+    assert cli_digest(command.split()) == FAILING_DIGESTS[command]
