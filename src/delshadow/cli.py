@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
             for v in rep.violations:
                 print(f"  violation: {v}")
             for o in rep.observations:
-                print(f"  note: {o.get('detail', o)}")
+                print(f"  note: {o['detail']}")
     return 1 if failed else 0
 
 

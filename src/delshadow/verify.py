@@ -19,7 +19,6 @@ the plain, trusting constructor.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -57,6 +56,10 @@ class SearchBudget:
 
 @dataclass
 class VerificationReport:
+    """One check's findings.  A violation refutes a proven claim; a note
+    refutes nothing.  `run_suite` sets `elapsed`, the check's wall time in
+    seconds; a direct `check_*` call leaves it at 0."""
+
     check: str
     params: dict
     instances_checked: int = 0
@@ -80,25 +83,18 @@ class VerificationReport:
             d["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
         return d
 
+    def violation(self, detail: str, family: Family | None = None) -> None:
+        self.violations.append(self._finding(detail, family))
 
-def _timed(check):
-    """Make a check's report carry its wall time in `elapsed`."""
+    def note(self, detail: str, family: Family | None = None) -> None:
+        self.observations.append(self._finding(detail, family))
 
-    @functools.wraps(check)
-    def timed(*args, **kwargs) -> VerificationReport:
-        t0 = time.monotonic()
-        rep = check(*args, **kwargs)
-        rep.elapsed = time.monotonic() - t0
-        return rep
-
-    return timed
-
-
-def _fam_record(a: Family, detail: str = "") -> dict:
-    rec = {"family": [famio.format_sequence(x) for x in a]}
-    if detail:
-        rec["detail"] = detail
-    return rec
+    @staticmethod
+    def _finding(detail: str, family: Family | None) -> dict:
+        """{"detail": ...}, after the family's members as text when one is given."""
+        if family is None:
+            return {"detail": detail}
+        return {"family": [famio.format_sequence(x) for x in family], "detail": detail}
 
 
 def worker_count() -> int:
@@ -486,11 +482,10 @@ def _sweep_sizes(rep, n, k, r_del, budget, expected, what) -> VerificationReport
             detail = f"size {m}: sampled family beats {what} {want}"
         else:
             continue
-        rep.violations.append(_fam_record(_witness(n, k, res.codes), detail))
+        rep.violation(detail, _witness(n, k, res.codes))
     return rep
 
 
-@_timed
 def check_theorem1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """Per-size brute-force minimum of |delta A| against the closed form."""
     rep = VerificationReport("theorem1", {"n": n, "k": k, "mode": budget.mode})
@@ -499,7 +494,6 @@ def check_theorem1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     )
 
 
-@_timed
 def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     """Simplicial initial segments minimise the full deletion shadow on {0,1}^n."""
     rep = VerificationReport("theorem2", {"n": n, "k": 1, "mode": budget.mode})
@@ -514,7 +508,6 @@ def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow.__getitem__, "simplicial")
 
 
-@_timed
 def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """Compare |Delta B_{r,t}| against the brute-force minimum.  A strict gap is
     an open-conjecture observation, never a violation."""
@@ -530,17 +523,10 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
     for (r, t, m, actual), res in zip(cases, results):
         rep.instances_checked += res.instances
         if res.value < actual:
-            rep.observations.append(
-                _fam_record(
-                    _witness(n, k, res.codes),
-                    f"r={r} t={t}: family of size {m} has Delta-shadow {res.value} "
-                    f"< |Delta B_rt| = {actual}",
-                )
-            )
+            rep.note(f"r={r} t={t}: family of size {m} has Delta-shadow {res.value} "
+                     f"< |Delta B_rt| = {actual}", _witness(n, k, res.codes))
         else:
-            rep.observations.append(
-                {"detail": f"r={r} t={t}: consistent at this scale (|B|={m}, shadow {actual})"}
-            )
+            rep.note(f"r={r} t={t}: consistent at this scale (|B|={m}, shadow {actual})")
     return rep
 
 
@@ -552,7 +538,6 @@ def check_conjecture1(n: int, k: int, budget: SearchBudget) -> VerificationRepor
 A_T_MEMBER_LIMIT = 1 << 19
 
 
-@_timed
 def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
     """|Delta A_t| = t^(n-1), with exhaustive minimality where feasible; an
     observation says why when minimality is not searched."""
@@ -578,18 +563,16 @@ def check_a_t(n: int, k: int, budget: SearchBudget) -> VerificationReport:
         results = _search_sizes(n, k, k, [t ** n for t, _, _ in cases], budget)
     else:
         results = [None] * len(cases)
-        rep.observations.append({"detail": f"minimality of A_t not searched: {why}"})
+        rep.note(f"minimality of A_t not searched: {why}")
     for (t, at, actual), res in zip(cases, results):
         rep.instances_checked += 1
         if actual != t ** (n - 1):
-            rep.violations.append(
-                _fam_record(at, f"t={t}: |Delta A_t| = {actual} != {t ** (n - 1)}")
-            )
+            rep.violation(f"t={t}: |Delta A_t| = {actual} != {t ** (n - 1)}", at)
         if res is not None:
             rep.instances_checked += res.instances
             if res.value < actual:
-                detail = f"t={t}: family beats A_t ({res.value} < {actual})"
-                rep.violations.append(_fam_record(_witness(n, k, res.codes), detail))
+                rep.violation(f"t={t}: family beats A_t ({res.value} < {actual})",
+                              _witness(n, k, res.codes))
     return rep
 
 
@@ -612,13 +595,10 @@ def _check_colex_minima(rep, masks, n, r, where, what) -> None:
         rep.instances_checked += best.instances
         expected = extremal.ones_count_colex(n, r, m)
         if best.value != expected:
-            rep.violations.append(
-                {"detail": f"{where} m={m}: brute {best.value} != {what}{expected}"}
-            )
+            rep.violation(f"{where} m={m}: brute {best.value} != {what}{expected}")
 
 
-@_timed
-def check_lemma3(budget: SearchBudget) -> VerificationReport:
+def check_lemma3() -> VerificationReport:
     """Colex initial segments minimise delta inside one {0,1}^n level."""
     rep = VerificationReport("lemma3", {"n_max": 4})
     for n in range(1, 5):
@@ -646,8 +626,7 @@ def colex_level_shadow_sizes(n: int, r: int) -> list[int]:
 LEMMA4_N_MAX = 10
 
 
-@_timed
-def check_lemma4(budget: SearchBudget) -> VerificationReport:
+def check_lemma4() -> VerificationReport:
     """ones_count_colex agrees with direct shadow sizes of colex families."""
     rep = VerificationReport("lemma4", {"n_max": LEMMA4_N_MAX})
     for n in range(1, LEMMA4_N_MAX + 1):
@@ -657,14 +636,11 @@ def check_lemma4(budget: SearchBudget) -> VerificationReport:
                 rep.instances_checked += 1
                 expected = extremal.ones_count_colex(n, r, m)
                 if direct != expected:
-                    rep.violations.append(
-                        {"detail": f"n={n} r={r} m={m}: direct {direct} != recursion {expected}"}
-                    )
+                    rep.violation(f"n={n} r={r} m={m}: direct {direct} != recursion {expected}")
     return rep
 
 
-@_timed
-def check_lemma6(budget: SearchBudget) -> VerificationReport:
+def check_lemma6() -> VerificationReport:
     """Every component behaves like the all-ones one: colex pieces of any
     component achieve the brute-force minimum shadow inside the component."""
     rep = VerificationReport("lemma6", {"n_max": 4, "k_max": 2})
@@ -695,11 +671,9 @@ def _sweep_compress(rep, masks, families, pairs, label):
             b = extremal.compress(a, s, t)
             rep.instances_checked += 1
             if len(b) != len(a):
-                rep.violations.append(_fam_record(a, f"{label}: compress changed cardinality"))
+                rep.violation(f"{label}: compress changed cardinality", a)
             if _shadow_size(masks, b.members) > base:
-                rep.violations.append(
-                    _fam_record(a, f"{label}: compress by s={s} t={t} grew the shadow")
-                )
+                rep.violation(f"{label}: compress by s={s} t={t} grew the shadow", a)
 
 
 def _random_label(rng: random.Random, k: int, length: int) -> Seq:
@@ -730,13 +704,11 @@ def _random_compress_instance(rng: random.Random, cross_level: bool):
         return n, k, rng.sample(range(size), rng.randint(1, size - 1)), s, t
 
 
-@_timed
 def check_lemma7(budget: SearchBudget) -> VerificationReport:
     """|delta compress(A, s, t)| <= |delta A| for same-level compressions."""
     return _check_compress_monotone(budget, "lemma7", cross_level=False)
 
 
-@_timed
 def check_lemma8(budget: SearchBudget) -> VerificationReport:
     """|delta compress(A, s, t)| <= |delta A| for cross-level compressions."""
     return _check_compress_monotone(budget, "lemma8", cross_level=True)
@@ -771,8 +743,7 @@ def _check_compress_monotone(budget, name, cross_level) -> VerificationReport:
 LEMMA9_N_MAX = 8
 
 
-@_timed
-def check_lemma9(budget: SearchBudget) -> VerificationReport:
+def check_lemma9() -> VerificationReport:
     """The four segment-counting claims, exhaustively over all segment sizes."""
     rep = VerificationReport("lemma9", {"n_max": LEMMA9_N_MAX})
     oc = extremal.ones_count_colex
@@ -787,29 +758,24 @@ def check_lemma9(budget: SearchBudget) -> VerificationReport:
                     seg_ones = oc_table[upper] - oc_table[lower]
                     rep.instances_checked += 1
                     if seg_ones > oc_table[q]:
-                        rep.violations.append(
-                            {"detail": f"claim1 n={n} r={r} seg=({lower},{upper})"}
-                        )
+                        rep.violation(f"claim1 n={n} r={r} seg=({lower},{upper})")
                     co_ones = comb(n - 1, r - 1) - oc_table[layer - q]
                     if seg_ones < co_ones:
-                        rep.violations.append(
-                            {"detail": f"claim3 n={n} r={r} seg=({lower},{upper})"}
-                        )
+                        rep.violation(f"claim3 n={n} r={r} seg=({lower},{upper})")
             # Claims 2 and 4: adjacent layers at equal sizes.
             if r < n:
                 upper_layer = comb(n, r + 1)
                 for m in range(min(layer, upper_layer) + 1):
                     rep.instances_checked += 1
                     if oc(n, r, m) > oc(n, r + 1, m):
-                        rep.violations.append({"detail": f"claim2 n={n} r={r} m={m}"})
+                        rep.violation(f"claim2 n={n} r={r} m={m}")
                     lo = extremal.co_initial_ones_count(n, r, m)
                     hi = extremal.co_initial_ones_count(n, r + 1, m)
                     if lo > hi:
-                        rep.violations.append({"detail": f"claim4 n={n} r={r} m={m}"})
+                        rep.violation(f"claim4 n={n} r={r} m={m}")
     return rep
 
 
-@_timed
 def check_prop10(budget: SearchBudget) -> VerificationReport:
     """|delta_r A| * n * (r+1) >= sum of low-coordinate counts, for every subset
     of the small universes and seeded random larger families."""
@@ -823,9 +789,7 @@ def check_prop10(budget: SearchBudget) -> VerificationReport:
         universe, masks, lows = tables[n, k, r]
         rep.instances_checked += 1
         if _shadow_size(masks, codes) * n * (r + 1) < sum(lows[i] for i in codes):
-            rep.violations.append(
-                _fam_record(Family(n, k, frozenset(universe[i] for i in codes)), label)
-            )
+            rep.violation(label, Family(n, k, frozenset(universe[i] for i in codes)))
 
     for n, k in ((2, 1), (3, 1), (4, 1), (2, 2)):
         size = (k + 1) ** n
@@ -845,8 +809,7 @@ def check_prop10(budget: SearchBudget) -> VerificationReport:
     return rep
 
 
-@_timed
-def check_corollary11(budget: SearchBudget) -> VerificationReport:
+def check_corollary11() -> VerificationReport:
     """Level unions meet the rational bound with equality and match the
     closed-form level-size formula; equality is unique at desk scale."""
     rep = VerificationReport("corollary11", {"n_max": 5, "k_max": 3})
@@ -860,12 +823,8 @@ def check_corollary11(budget: SearchBudget) -> VerificationReport:
                     bound = extremal.prop10_lower_bound(fam, r)
                     rep.instances_checked += 1
                     if direct != closed or bound != closed:
-                        rep.violations.append(
-                            {
-                                "detail": f"n={n} k={k} r={r} s={s}: direct {direct}, "
-                                f"closed {closed}, bound {bound}"
-                            }
-                        )
+                        rep.violation(f"n={n} k={k} r={r} s={s}: direct {direct}, "
+                                      f"closed {closed}, bound {bound}")
     # Uniqueness of the equality case, exhaustively on tiny universes.
     for n, k in ((2, 1), (2, 2), (3, 1)):
         universe = universe_sequences(n, k)
@@ -882,17 +841,12 @@ def check_corollary11(budget: SearchBudget) -> VerificationReport:
                     rep.instances_checked += 1
                     val = _shadow_size(masks, idx)
                     if val < opt or (val == opt and fam_members != target.members):
-                        rep.violations.append(
-                            _fam_record(
-                                Family(n, k, fam_members),
-                                f"uniqueness n={n} k={k} r={r} s={s}: shadow {val} vs {opt}",
-                            )
-                        )
+                        rep.violation(f"uniqueness n={n} k={k} r={r} s={s}: shadow {val} vs {opt}",
+                                      Family(n, k, fam_members))
     return rep
 
 
-@_timed
-def check_degree_identity(budget: SearchBudget) -> VerificationReport:
+def check_degree_identity() -> VerificationReport:
     """In the deletion multigraph every length-(n-1) sequence has degree n(r+1)."""
     rep = VerificationReport("degree_identity", {"n_max": 4, "k_max": 3})
     for n in range(1, 5):
@@ -908,12 +862,8 @@ def check_degree_identity(budget: SearchBudget) -> VerificationReport:
                 for y in itertools.product(range(k + 1), repeat=n - 1):
                     rep.instances_checked += 1
                     if degrees.get(y, 0) != expected:
-                        rep.violations.append(
-                            {
-                                "detail": f"n={n} k={k} r={r} y={y}: degree "
-                                f"{degrees.get(y, 0)} != {expected}"
-                            }
-                        )
+                        rep.violation(f"n={n} k={k} r={r} y={y}: degree "
+                                      f"{degrees.get(y, 0)} != {expected}")
     return rep
 
 
@@ -926,15 +876,15 @@ def check_degree_identity(budget: SearchBudget) -> VerificationReport:
 _SUITE = {
     "theorem1": (lambda b, n, k: check_theorem1(n, k, b), (3, 1)),
     "theorem2": (lambda b, n, k: check_theorem2(n, b), (3, 1)),
-    "lemma3": (lambda b, n, k: check_lemma3(b), (None, None)),
-    "lemma4": (lambda b, n, k: check_lemma4(b), (None, None)),
-    "lemma6": (lambda b, n, k: check_lemma6(b), (None, None)),
+    "lemma3": (lambda b, n, k: check_lemma3(), (None, None)),
+    "lemma4": (lambda b, n, k: check_lemma4(), (None, None)),
+    "lemma6": (lambda b, n, k: check_lemma6(), (None, None)),
     "lemma7": (lambda b, n, k: check_lemma7(b), (None, None)),
     "lemma8": (lambda b, n, k: check_lemma8(b), (None, None)),
-    "lemma9": (lambda b, n, k: check_lemma9(b), (None, None)),
+    "lemma9": (lambda b, n, k: check_lemma9(), (None, None)),
     "prop10": (lambda b, n, k: check_prop10(b), (None, None)),
-    "corollary11": (lambda b, n, k: check_corollary11(b), (None, None)),
-    "degree_identity": (lambda b, n, k: check_degree_identity(b), (None, None)),
+    "corollary11": (lambda b, n, k: check_corollary11(), (None, None)),
+    "degree_identity": (lambda b, n, k: check_degree_identity(), (None, None)),
     "a_t": (lambda b, n, k: check_a_t(n, k, b), (2, 2)),
     "conjecture1": (lambda b, n, k: check_conjecture1(n, k, b), (2, 2)),
 }
@@ -949,8 +899,8 @@ def run_suite(
     n: int | None = None,
     k: int | None = None,
 ) -> list[VerificationReport]:
-    """Run named checks; parameterised checks use (n, k) when given, else
-    their desk-scale defaults."""
+    """Run named checks, each report timed in `elapsed`; parameterised checks
+    use (n, k) when given, else their desk-scale defaults."""
     worker_count()  # reject a malformed DELSHADOW_THREADS before any check runs
     for name in names:
         if name not in _SUITE:
@@ -958,5 +908,8 @@ def run_suite(
     reports = []
     for name in names:
         runner, (n0, k0) = _SUITE[name]
-        reports.append(runner(budget, n0 if n is None else n, k0 if k is None else k))
+        t0 = time.monotonic()
+        rep = runner(budget, n0 if n is None else n, k0 if k is None else k)
+        rep.elapsed = time.monotonic() - t0
+        reports.append(rep)
     return reports

@@ -95,7 +95,7 @@ def test_03_theorem1_ternary():
 
 def test_04_lemma4_identity():
     with criterion(4, "lemma4-identity"):
-        rep = check_lemma4(EXHAUSTIVE)
+        rep = check_lemma4()
         assert rep.ok, rep.to_dict()
         assert rep.instances_checked == sum(
             comb(n, r) + 1 for n in range(1, 11) for r in range(1, n + 1)
@@ -144,7 +144,7 @@ def test_06_canonicalize():
 
 def test_07_lemma9_claims():
     with criterion(7, "lemma9-claims"):
-        rep = check_lemma9(EXHAUSTIVE)
+        rep = check_lemma9()
         assert rep.ok, rep.to_dict()
         assert rep.instances_checked > 0
 
@@ -153,7 +153,7 @@ def test_08_prop10_corollary11():
     with criterion(8, "prop10-corollary11"):
         rep = check_prop10(SearchBudget(mode="bounded", samples=2000, rng_seed=0))
         assert rep.ok, rep.to_dict()
-        rep = check_corollary11(EXHAUSTIVE)
+        rep = check_corollary11()
         assert rep.ok, rep.to_dict()
         # the closed form, the direct shadow and the rational bound coincide
         for n in range(1, 6):
@@ -169,7 +169,7 @@ def test_08_prop10_corollary11():
 
 def test_09_degree_identity():
     with criterion(9, "degree-identity"):
-        rep = check_degree_identity(EXHAUSTIVE)
+        rep = check_degree_identity()
         assert rep.ok, rep.to_dict()
 
 

@@ -581,8 +581,7 @@ class TestChecksCanFail:
     def test_lemma3_and_lemma6_against_a_wrong_colex_count(self, monkeypatch):
         right = extremal.ones_count_colex
         monkeypatch.setattr(extremal, "ones_count_colex", lambda n, r, m: right(n, r, m) + 1)
-        budget = SearchBudget()
-        rep = check_lemma3(budget)
+        rep = check_lemma3()
         details = [v["detail"] for v in rep.violations]
         assert rep.instances_checked == 114
         assert len(details) == 26  # every (n, r, m)
@@ -591,7 +590,7 @@ class TestChecksCanFail:
             "n=2 r=1 m=1: brute 1 != colex count 2",
         ]
         assert details[-1] == "n=4 r=4 m=1: brute 1 != colex count 2"
-        rep = check_lemma6(budget)
+        rep = check_lemma6()
         details = [v["detail"] for v in rep.violations]
         assert rep.instances_checked == 568
         assert len(details) == 116
