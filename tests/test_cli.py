@@ -335,6 +335,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: a_t infeasible: A_1..A_k at n=30, k=2 have over 524288 members\n"
 
+    @pytest.mark.parametrize("n,k,members", [
+        (26, 2, ""),
+        (13, 3, "1 2 3 0 1 2 3 0 1 2 3 0 1\n"),
+        (12, 3, "1 2 3 0 1 2 3 0 1 2 3 0\n"),
+    ], ids=["26-2-empty", "13-3", "12-3"])
+    def test_canonicalize_of_too_many_labels_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                        n, k, members):
+        # Generating the labels of every level took minutes at (26, 2).
+        monkeypatch.setattr(extremal, "level_labels", lambda *args: pytest.fail("work started"))
+        src = family_file(tmp_path, f"{n} {k}\n{members}")
+        assert run_cli(capsys, "canonicalize", "--in", src) == (2, "", (
+            f"error: canonicalize infeasible: the component labels at n={n}, k={k} hold over "
+            "8388608 entries\n"))
+
+    def test_largest_canonicalize_answers(self, tmp_path, capsys):
+        src = family_file(tmp_path, "11 3\n0 1 2 3 0 1 2 3 0 1 2\n")
+        assert run_cli(capsys, "canonicalize", "--in", src) == (0, "11 3\n" + "3 " * 10 + "3\n", "")
+
     def test_sampled_sweep_of_hours_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))
         code, out, err = run_cli(
