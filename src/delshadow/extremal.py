@@ -117,22 +117,16 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     the start and after every effective pass of the respective phase.
     """
     n, k = a.n, a.k
-    # The labels of all levels hold sum of j * k^j entries, j = 0..n; refuse
-    # more than a family may hold before generating any.  Most of it is in
-    # the longest labels, so the sum starts there.
-    if k == 1:
-        entries = n * (n + 1) // 2
-    else:
-        entries = 0
-        for j in range(n, 0, -1):
-            entries += j * capped_pow(k, j, FAMILY_ENTRY_LIMIT)
-            if entries > FAMILY_ENTRY_LIMIT:
-                break
-    if entries > FAMILY_ENTRY_LIMIT:
-        raise ValueError(
-            f"canonicalize infeasible: the component labels at n={n}, k={k} hold over "
-            f"{FAMILY_ENTRY_LIMIT} entries"
-        )
+    # The labels of all levels hold sum of j * k^j entries, j = 0..n: refuse
+    # more than a family may hold before generating any.  Summed from the
+    # longest labels down, it passes the limit within 4096 terms at k = 1 and
+    # 17 above, so a huge n costs nothing.
+    entries = 0
+    for j in range(n, 0, -1):
+        entries += j * capped_pow(k, j, FAMILY_ENTRY_LIMIT)
+        if entries > FAMILY_ENTRY_LIMIT:
+            raise ValueError(f"canonicalize infeasible: the component labels at n={n}, k={k} "
+                             f"hold over {FAMILY_ENTRY_LIMIT} entries")
     counts = Counter(reduced(x) for x in a.members)
     levels = [tuple(level_labels(n, k, zc)) for zc in range(n + 1)]
     index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}

@@ -870,8 +870,8 @@ def check_degree_identity() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Suite runner
 
-# name -> (runner(budget, n, k), default (n, k)); checks without (n, k)
-# ignore both.  The key order is ALL_CHECKS: proven checks, then open ones.
+# name -> (runner(budget, n, k), default (n, k)); a runner drops what its
+# check does not take.  The key order is ALL_CHECKS: proven checks, then open ones.
 # Runners look the check up when called, so a replaced module attribute is used.
 _SUITE = {
     "theorem1": (lambda b, n, k: check_theorem1(n, k, b), (3, 1)),

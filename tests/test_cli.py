@@ -339,10 +339,11 @@ class TestExitCodes:
         (26, 2, ""),
         (13, 3, "1 2 3 0 1 2 3 0 1 2 3 0 1\n"),
         (12, 3, "1 2 3 0 1 2 3 0 1 2 3 0\n"),
-    ], ids=["26-2-empty", "13-3", "12-3"])
+        (100000000, 1, ""),
+    ], ids=["26-2-empty", "13-3", "12-3", "huge-n-1-empty"])
     def test_canonicalize_of_too_many_labels_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         n, k, members):
-        # Generating the labels of every level took minutes at (26, 2).
+        # Generating the labels of every level had not ended after 20 s at (26, 2).
         monkeypatch.setattr(extremal, "level_labels", lambda *args: pytest.fail("work started"))
         src = family_file(tmp_path, f"{n} {k}\n{members}")
         assert run_cli(capsys, "canonicalize", "--in", src) == (2, "", (
@@ -351,7 +352,8 @@ class TestExitCodes:
 
     def test_largest_canonicalize_answers(self, tmp_path, capsys):
         src = family_file(tmp_path, "11 3\n0 1 2 3 0 1 2 3 0 1 2\n")
-        assert run_cli(capsys, "canonicalize", "--in", src) == (0, "11 3\n" + "3 " * 10 + "3\n", "")
+        out = "11 3\n" + "3 " * 10 + "3\n"
+        assert run_cli(capsys, "canonicalize", "--in", src) == (0, out, "")
 
     def test_sampled_sweep_of_hours_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "child_masks", lambda *args: pytest.fail("work started"))

@@ -6,7 +6,7 @@ is a change in what delshadow reports or prints: find its cause, and record a
 new digest only for a change that is meant.
 
 Reports are hashed without their elapsed time.  The CLI runs in process with
-every check's clock fixed at 0, so `verify`'s text and JSON carry "0 ms".
+`run_suite`'s clock fixed at 0, so `verify`'s text and JSON carry "0 ms".
 """
 import contextlib
 import hashlib
