@@ -10,13 +10,12 @@ from .extremal import (
     prop10_lower_bound,
 )
 from .famio import FamilyFormatError, read_family, write_family
-from .orders import colex_initial_positions, initial_segment_leq
-from .seqcore import Component, Family, components, reduced
+from .orders import initial_segment_leq
+from .seqcore import Family, reduced
 from .shadow import delta, delta_r, deletion_multidegree, full_deletion
 from .verify import SearchBudget, VerificationReport, brute_force_min_shadow, run_suite
 
 __all__ = [
-    "Component",
     "Family",
     "FamilyFormatError",
     "SearchBudget",
@@ -24,8 +23,6 @@ __all__ = [
     "brute_force_min_shadow",
     "canonical_family",
     "canonicalize",
-    "colex_initial_positions",
-    "components",
     "compress",
     "delta",
     "delta_r",

@@ -228,10 +228,11 @@ def _cmd_verify(args) -> int:
             status = "PASS" if rep.ok else "FAIL"
             print(f"{rep.check}: {status} ({rep.instances_checked} instances, "
                   f"{rep.elapsed * 1000:.0f} ms)")
-            for v in rep.violations:
-                print(f"  violation: {v}")
-            for o in rep.observations:
-                print(f"  note: {o['detail']}")
+            for kind, findings in (("violation", rep.violations), ("note", rep.observations)):
+                for finding in findings:
+                    # The detail, then the witness family's members, if any, as [1 1; 0 1].
+                    witness = f" [{'; '.join(finding['family'])}]" if "family" in finding else ""
+                    print(f"  {kind}: {finding['detail']}{witness}")
     return 1 if failed else 0
 
 

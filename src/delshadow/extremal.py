@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .orders import colex_initial_positions, level_labels
+from .orders import colex_combinations, level_labels
 from .seqcore import (
     FAMILY_ENTRY_LIMIT, Family, Seq, capped_pow, check_family_size, check_radius, check_shape,
     check_size, low_count, member_cap, place_label, reduced,
@@ -87,8 +87,8 @@ def compress(a: Family, s: Seq, t: Seq) -> Family:
     q = len(a.members) - len(out)  # A's mass in C_s u C_t
     fill_s = min(q, comb(n, n - len(s)))
     for label, fill in ((s, fill_s), (t, q - fill_s)):
-        out.update(place_label(label, zeros, n)
-                   for zeros in colex_initial_positions(n, n - len(label), fill))
+        out.update(place_label(label, zeros)
+                   for zeros in itertools.islice(colex_combinations(n, n - len(label)), fill))
     return Family(n, a.k, frozenset(out))
 
 
@@ -176,9 +176,9 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
         w_trace.append(potential_w())
 
     members = [
-        place_label(label, zeros, n)
+        place_label(label, zeros)
         for label, c in counts.items()
-        for zeros in colex_initial_positions(n, n - len(label), c)
+        for zeros in itertools.islice(colex_combinations(n, n - len(label)), c)
     ]
     return Family(n, k, frozenset(members)), v_trace, w_trace
 

@@ -17,10 +17,10 @@ three-way comparison fall out of Python int and tuple comparison:
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 from .seqcore import (
-    Family, Seq, check_family_size, check_shape, check_size, place_label, positions_of, rank,
+    Family, Seq, capped_pow, check_family_size, check_shape, check_size, member_cap, place_label,
+    positions_of, rank,
 )
 
 
@@ -79,13 +79,6 @@ def colex_combinations(n: int, r: int):
         c[:j] = range(1, j + 1)
 
 
-def colex_initial_positions(n: int, r: int, m: int) -> list[frozenset[int]]:
-    """The first m r-subsets of [n] in colex order."""
-    if not (0 <= m <= comb(n, r)):
-        raise ValueError(f"size {m} not in [0, C({n},{r})={comb(n, r)}]")
-    return [frozenset(c) for c in itertools.islice(colex_combinations(n, r), m)]
-
-
 def level_labels(n: int, k: int, zc: int):
     """The component labels of the level with `zc` zeros, streamed in <=_c order.
 
@@ -114,7 +107,7 @@ def iter_leq(n: int, k: int):
     for zc in range(n + 1):
         for label in level_labels(n, k, zc):
             for zeros in colex_combinations(n, zc):
-                yield place_label(label, frozenset(zeros), n)
+                yield place_label(label, zeros)
 
 
 def initial_segment_leq(n: int, k: int, m: int) -> Family:
@@ -134,4 +127,5 @@ def simplicial_initial_segment(n: int, m: int) -> Family:
     """The first m sequences of {0,1}^n in simplicial order."""
     check_shape(n, 1)
     check_size(m, 2, n)
+    check_family_size(capped_pow(2, n, member_cap(n)), n)  # all of {0,1}^n is sorted
     return Family(n, 1, frozenset(simplicial_sorted(n)[:m]))

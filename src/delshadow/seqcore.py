@@ -1,5 +1,5 @@
 """Sequences over {0,...,k}, the (n, k) and radius rules, families of sequences
-and reduced-word components.
+and the placing of a reduced word on a set of zero positions.
 
 A sequence is a plain tuple of small integers; positions are 1-indexed
 throughout (position i of x is x[i-1]).  The empty sequence () is a valid
@@ -7,9 +7,7 @@ value of length 0, so deletion shadows of length-1 families are total.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 Seq = tuple[int, ...]
 
@@ -134,42 +132,14 @@ class Family:
         return iter(sorted(self.members, key=lambda s: leq_key(s, self.k)))
 
 
-def place_label(label: Seq, zeros: frozenset[int], n: int) -> Seq:
-    """The sequence of length n with zeros at `zeros` and `label` elsewhere."""
-    out = []
-    it = iter(label)
-    for i in range(1, n + 1):
-        out.append(0 if i in zeros else next(it))
+def place_label(label: Seq, zeros: tuple[int, ...]) -> Seq:
+    """The sequence of length len(label) + len(zeros) with zeros at the
+    ascending 1-indexed positions `zeros` and `label`, in order, elsewhere."""
+    out, j = [], 0
+    for i, z in enumerate(zeros):
+        # The z - 1 positions before z hold i zeros and label[:z - 1 - i].
+        out += label[j:z - 1 - i]
+        out.append(0)
+        j = z - 1 - i
+    out += label[j:]
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Component:
-    """All length-n sequences sharing one reduced word (one connected component)."""
-
-    label: Seq
-    n: int
-    k: int
-
-    @property
-    def zero_count(self) -> int:
-        return self.n - len(self.label)
-
-    def size(self) -> int:
-        return comb(self.n, self.zero_count) if len(self.label) <= self.n else 0
-
-    def members(self) -> frozenset[Seq]:
-        zc = self.zero_count
-        return frozenset(
-            place_label(self.label, frozenset(zs), self.n)
-            for zs in itertools.combinations(range(1, self.n + 1), zc)
-        )
-
-
-def components(n: int, k: int, zero_count_i: int) -> list[Component]:
-    """All components of the level with exactly `zero_count_i` zeros, <=_c order."""
-    from .orders import level_labels
-
-    if not (0 <= zero_count_i <= n):
-        raise ValueError(f"zero count {zero_count_i} not in [0, {n}]")
-    return [Component(label=s, n=n, k=k) for s in level_labels(n, k, zero_count_i)]

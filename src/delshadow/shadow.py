@@ -9,8 +9,10 @@ from .seqcore import Family, Seq, check_radius
 
 
 def seq_children(x: Seq, r_del: int) -> set[Seq]:
-    """All sequences obtained from x by deleting one coordinate with value <= r_del."""
-    return {x[:i] + x[i + 1:] for i, e in enumerate(x) if e <= r_del}
+    """All sequences obtained from x by deleting one coordinate with value <= r_del.
+    Deletions inside one run of equal entries give one child, built once."""
+    return {x[:i] + x[i + 1:] for i, e in enumerate(x)
+            if e <= r_del and (i == 0 or x[i - 1] != e)}
 
 
 def delta_r(a: Family, r_del: int) -> Family:

@@ -29,7 +29,7 @@ from math import ceil, comb, inf, log
 from typing import NamedTuple
 
 from . import extremal, famio, orders, shadow
-from .seqcore import Family, Seq, capped_pow, check_shape, components, low_count, zero_count
+from .seqcore import Family, Seq, capped_pow, check_shape, low_count, place_label, zero_count
 
 EXHAUSTIVE_UNIVERSE_LIMIT = 27
 
@@ -503,7 +503,7 @@ def check_theorem2(n: int, budget: SearchBudget) -> VerificationReport:
     seen: set[Seq] = set()
     seg_shadow = [0]
     for x in orders.simplicial_sorted(n):
-        seen |= shadow.delta_r(Family(n, 1, frozenset((x,))), 1).members
+        seen |= shadow.seq_children(x, 1)
         seg_shadow.append(len(seen))
     return _sweep_sizes(rep, n, 1, 1, budget, seg_shadow.__getitem__, "simplicial")
 
@@ -648,9 +648,10 @@ def check_lemma6() -> VerificationReport:
         for k in (1, 2):
             masks = _shadow_masks(n, k, 0)
             for zc in range(1, n + 1):
-                for comp in components(n, k, zc):
-                    level = [masks[x] for x in comp.members()]
-                    _check_colex_minima(rep, level, n, zc, f"n={n} k={k} label={comp.label}", "")
+                for label in orders.level_labels(n, k, zc):
+                    level = [masks[place_label(label, zeros)]
+                             for zeros in orders.colex_combinations(n, zc)]
+                    _check_colex_minima(rep, level, n, zc, f"n={n} k={k} label={label}", "")
     return rep
 
 

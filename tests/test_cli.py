@@ -211,6 +211,7 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "theorem1: FAIL" in out
+        assert "\n  violation: size 3: brute min 1 != closed form 2 [1 1; 0 1; 1 0]\n" in out
 
     def test_no_suite_means_every_check(self):
         assert build_parser().parse_args(["verify"]).suite == ",".join(ALL_CHECKS)
@@ -255,11 +256,23 @@ class TestHugeRequests:
         ("family --kind at --n 100000000 --k 2 --t 1", 2, "", FAMILY_REFUSAL.format(100000000)),
     ])
     def test_answers_at_once(self, command, code, out, err):
+        assert self.run_module(*command.split()) == (code, out, err)
+
+    def test_shadow_of_one_long_run_answers_at_once(self, tmp_path):
+        # Every deletion from the one run of 1s gives the same child; made once
+        # per position, they took minutes at n = 10^5.
+        n = 100_000
+        src = family_file(tmp_path, f"{n} 1\n" + " ".join("1" * n) + "\n")
+        out = f"{n - 1} 1\n" + " ".join("1" * (n - 1)) + "\n"
+        assert self.run_module("shadow", "--r", "max", "--in", src) == (0, out, "")
+
+    @staticmethod
+    def run_module(*argv):
         done = subprocess.run(
-            [sys.executable, "-m", "delshadow.cli", *command.split()],
+            [sys.executable, "-m", "delshadow.cli", *argv],
             capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": SRC},
         )
-        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        return done.returncode, done.stdout, done.stderr
 
 
 class TestExitCodes:

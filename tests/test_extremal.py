@@ -26,7 +26,6 @@ from delshadow.extremal import (
 from delshadow.orders import (
     c_key,
     colex_combinations,
-    colex_initial_positions,
     initial_segment_leq,
     iter_leq,
     level_labels,
@@ -267,9 +266,9 @@ def _member_level_canonicalize(a):
     for x in a.members:
         label_of.setdefault(tuple(e for e in x if e), []).append(x)
     a = Family.of(n, k, (
-        place_label(u, zeros, n)
+        place_label(u, zeros)
         for u, xs in label_of.items()
-        for zeros in colex_initial_positions(n, n - len(u), len(xs))
+        for zeros in itertools.islice(colex_combinations(n, n - len(u)), len(xs))
     ))
 
     def v(f):
@@ -365,9 +364,9 @@ def _pairwise_canonicalize(a):
                 w_trace.append(potential_w())
 
     members = {
-        place_label(label, zeros, n)
+        place_label(label, zeros)
         for label, c in counts.items()
-        for zeros in colex_initial_positions(n, n - len(label), c)
+        for zeros in itertools.islice(colex_combinations(n, n - len(label)), c)
     }
     return members, v_trace, w_trace
 

@@ -4,10 +4,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from delshadow import orders
 from delshadow.orders import (
     c_key,
     colex_combinations,
-    colex_initial_positions,
     colex_key,
     initial_segment_leq,
     iter_leq,
@@ -27,21 +27,13 @@ class TestColex:
         assert not colex_key({1, 3}) < colex_key({1, 3})
 
     def test_full_colex_order_on_4_choose_2(self):
-        got = [tuple(sorted(s)) for s in colex_initial_positions(4, 2, 6)]
+        got = list(colex_combinations(4, 2))
         assert got == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
 
     def test_initial_positions_examples(self):
-        assert colex_initial_positions(4, 2, 3) == [
-            frozenset({1, 2}),
-            frozenset({1, 3}),
-            frozenset({2, 3}),
-        ]
-        assert len(colex_initial_positions(5, 2, 10)) == 10
-        assert colex_initial_positions(4, 0, 1) == [frozenset()]
-
-    def test_out_of_range_size(self):
-        with pytest.raises(ValueError):
-            colex_initial_positions(4, 2, 7)
+        assert list(itertools.islice(colex_combinations(4, 2), 3)) == [(1, 2), (1, 3), (2, 3)]
+        assert len(list(colex_combinations(5, 2))) == 10
+        assert list(colex_combinations(4, 0)) == [()]
 
     def test_streaming_matches_sorting(self):
         for n in range(7):
@@ -80,6 +72,18 @@ class TestSimplicial:
             simplicial_initial_segment(-1, 1)
         with pytest.raises(ValueError, match=r"^size 5 not in \[0, 4\]$"):
             simplicial_initial_segment(2, 5)
+
+    def test_too_large_a_universe_is_refused_before_sorting(self, monkeypatch):
+        def work_started(n):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(orders, "simplicial_sorted", work_started)
+        for n in (19, 40, 10 ** 8):
+            with pytest.raises(ValueError, match=f"^family infeasible: .* length {n} "):
+                simplicial_initial_segment(n, 1)
+        # 2^18 members of 18 entries fit in a family, so n = 18 is sorted.
+        with pytest.raises(AssertionError, match="work started"):
+            simplicial_initial_segment(18, 1)
 
 
 class TestCOrder:
@@ -278,8 +282,8 @@ class TestReversalIsomorphism:
             ]
             for m in range(comb(n, r) + 1):
                 piece = [
-                    place_label(tuple([1] * (n - r)), zeros, n)
-                    for zeros in colex_initial_positions(n, r, m)
+                    place_label(tuple([1] * (n - r)), zeros)
+                    for zeros in itertools.islice(colex_combinations(n, r), m)
                 ]
                 c2 = set(high) | set(piece)
                 reversed_c2 = {tuple(reversed(x)) for x in c2}

@@ -288,7 +288,7 @@ CLI_DIGESTS = {
 
 FAILING_DIGESTS = {
     _FAILING:
-        "55516d96b21a2ff8733b071831ca15f2803e82c9a20fed17f43f3e714e8d359c",
+        "941eeb649677f1ec8fb83539491448d9287257de72fc7671b90b9e8f443eebdd",
     f"{_FAILING} --json":
         "0ee49659955d7ac714c1c50ea6060272fb31c1d64efd1a6a2969cfb21228a77b",
 }

@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 
 from delshadow.seqcore import (
     FAMILY_ENTRY_LIMIT,
-    Component,
     Family,
     capped_pow,
     check_family_size,
     check_size,
-    components,
     low_count,
     member_cap,
     place_label,
@@ -20,6 +18,7 @@ from delshadow.seqcore import (
     reduced,
     zero_count,
 )
+from delshadow.orders import colex_combinations, level_labels
 from delshadow.shadow import seq_children
 
 
@@ -139,42 +138,44 @@ class TestSizeLimits:
             check_family_size(member_cap(n) + 1, n)
 
 
+def component_members(label, n):
+    """The members of label's component at length n: label placed on every
+    zero-position set, in colex order."""
+    return [place_label(label, zeros) for zeros in colex_combinations(n, n - len(label))]
+
+
 class TestComponents:
     def test_two_components_at_n2_k2(self):
-        comps = components(2, 2, 1)
-        by_label = {c.label: c.members() for c in comps}
+        by_label = {u: set(component_members(u, 2)) for u in level_labels(2, 2, 1)}
         assert by_label == {
             (2,): {(0, 2), (2, 0)},
             (1,): {(0, 1), (1, 0)},
         }
 
     def test_zero_free_components_are_singletons(self):
-        comps = components(3, 2, 0)
-        assert len(comps) == 8
-        assert all(c.size() == 1 for c in comps)
+        labels = list(level_labels(3, 2, 0))
+        assert len(labels) == 8
+        assert all(len(component_members(u, 3)) == 1 for u in labels)
 
     def test_component_of_1001(self):
         x = (1, 0, 0, 1)
         assert reduced(x) == (1, 1)
-        c = Component(label=reduced(x), n=len(x), k=1)
-        assert c.size() == comb(4, 2)
-        members = c.members()
-        assert len(members) == 6
+        members = component_members(reduced(x), len(x))
+        assert len(set(members)) == len(members) == comb(4, 2)
         assert all(reduced(x) == (1, 1) for x in members)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (3, 3)])
     def test_level_partition(self, n, k):
         for i in range(n + 1):
-            comps = components(n, k, i)
-            assert len(comps) == k ** (n - i)
-            total = sum(c.size() for c in comps)
-            assert total == comb(n, i) * k ** (n - i)
+            labels = list(level_labels(n, k, i))
+            assert len(labels) == k ** (n - i)
             seen = set()
-            for c in comps:
-                mem = c.members()
-                assert len(mem) == c.size()
+            for u in labels:
+                mem = set(component_members(u, n))
+                assert len(mem) == comb(n, i)
                 assert not (seen & mem)
                 seen |= mem
+            assert len(seen) == comb(n, i) * k ** (n - i)
 
     def test_generalized_level_sizes(self):
         # levels counted by the number of coordinates <= r
@@ -189,6 +190,12 @@ class TestComponents:
 
 
 def test_place_label_roundtrip():
-    x = place_label((1, 2, 1), frozenset({1, 2}), 5)
+    x = place_label((1, 2, 1), (1, 2))
     assert x == (0, 0, 1, 2, 1)
     assert positions_of(x, 0) == frozenset({1, 2})
+
+
+@given(seq_and_k())
+def test_place_label_inverts_reduced_and_zero_positions(xk):
+    x, k = xk
+    assert place_label(reduced(x), tuple(sorted(positions_of(x, 0)))) == x

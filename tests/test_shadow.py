@@ -78,6 +78,14 @@ class TestEdgeCases:
 
 
 class TestProperties:
+    def test_children_equal_one_deletion_per_position(self):
+        for n in range(7):
+            for k in range(1, 4):
+                for x in itertools.product(range(k + 1), repeat=n):
+                    for r in range(k + 1):
+                        every = {x[:i] + x[i + 1:] for i, e in enumerate(x) if e <= r}
+                        assert seq_children(x, r) == every
+
     @given(family_strategy())
     def test_level_mapping(self, a):
         for r in range(a.k + 1):

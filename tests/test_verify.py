@@ -302,7 +302,8 @@ class TestSweepEngine:
             raise AssertionError("work started")
 
         for mod, attr in ((verify, "child_masks"), (extremal, "family_b_rt"),
-                          (extremal, "min_delta_shadow_size"), (shadow, "delta_r")):
+                          (extremal, "min_delta_shadow_size"), (shadow, "delta_r"),
+                          (shadow, "seq_children")):
             monkeypatch.setattr(mod, attr, no_work)
         with pytest.raises(ValueError, match=f"universe has 2\\^30 > {SWEEP_UNIVERSE_LIMIT}"):
             sweep()
@@ -560,7 +561,10 @@ class TestChecksCanFail:
         assert details[3] == "size 3: brute min 1 != closed form 2"
 
     def test_theorem2_against_a_wrong_segment_shadow(self, monkeypatch):
-        monkeypatch.setattr(shadow, "delta_r", lambda a, r: Family.of(a.n - 1, a.k, []))
+        # The oracle's child masks are built first, with the real children.
+        masks = verify.child_masks(3, 1, 1)
+        monkeypatch.setattr(verify, "child_masks", lambda n, k, r_del: masks)
+        monkeypatch.setattr(shadow, "seq_children", lambda x, r_del: set())
         rep = check_theorem2(3, EXHAUSTIVE)
         details = [v["detail"] for v in rep.violations]
         assert len(details) == 8  # every size but m = 0
