@@ -15,9 +15,9 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .orders import colex_combinations, level_labels
+from .orders import colex_combinations, label_rank, labels_from
 from .seqcore import (
-    FAMILY_ENTRY_LIMIT, Family, Seq, capped_pow, check_family_size, check_radius, check_shape,
+    Family, Seq, capped_pow, check_family_size, check_radius, check_shape,
     check_size, low_count, member_cap, place_label, reduced,
 )
 
@@ -104,83 +104,136 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     A colex-packed family is its count per component label.  The
     s,t-compression sets c[s] to min(c[s] + c[t], |C_s|) and c[t] to the rest,
     so compressing every sink s of one level with every source t of the level
-    above, in that order, is a pour of min(mass in the sources, room in the
-    sinks): the sinks fill in turn and the sources drain in turn.  Cross-level
-    passes pour each level into the one below, top down, until no mass moves;
-    each effective pass lowers v, a non-negative integer, so the passes end.
-    The pairwise same-level compressions leave a level packed as |C|, ...,
-    |C|, rest, 0, ..., which is their fixpoint, so one packing pass replaces
-    them and lowers w once if it moves anything.  The members are placed once,
-    at the end.
+    above, last labels first, is a pour of min(mass in the sources, room in
+    the sinks): the sinks fill from the level's last label down and the
+    sources drain from theirs.  Cross-level passes pour each level into the
+    one below, top down, until no mass moves; each effective pass lowers v, a
+    non-negative integer, so the passes end.  The pairwise same-level
+    compressions leave a level packed as |C|, ..., |C|, rest, 0, ..., which
+    is their fixpoint, so one packing pass replaces them and lowers w once if
+    it moves anything.
+
+    A level is held as the counts of the labels that hold mass, keyed by
+    their <=_c indices (`label_rank`), so the work follows the family, not
+    the k^(n-zc) labels of each level: a pour touches the labels holding mass
+    and the sinks it fills, no pass visits an empty level, and the members
+    are placed once, at the end, in <= order, on the first labels of each
+    packed level (`labels_from`).  The pours count the indices from each
+    level's last label, where they fill and drain, so they need neither the
+    level's size nor, past the mass in play, its components' size.
 
     Returns (result, v_trace, w_trace) where the traces hold the potential at
     the start and after every effective pass of the respective phase.
     """
     n, k = a.n, a.k
-    # The labels of all levels hold sum of j * k^j entries, j = 0..n: refuse
-    # more than a family may hold before generating any.  Summed from the
-    # longest labels down, it passes the limit within 4096 terms at k = 1 and
-    # 17 above, so a huge n costs nothing.
-    entries = 0
-    for j in range(n, 0, -1):
-        entries += j * capped_pow(k, j, FAMILY_ENTRY_LIMIT)
-        if entries > FAMILY_ENTRY_LIMIT:
-            raise ValueError(f"canonicalize infeasible: the component labels at n={n}, k={k} "
-                             f"hold over {FAMILY_ENTRY_LIMIT} entries")
-    counts = Counter(reduced(x) for x in a.members)
-    levels = [tuple(level_labels(n, k, zc)) for zc in range(n + 1)]
-    index = {label: j for labels in levels for j, label in enumerate(labels, start=1)}
+    # levels[zc]: index -> count for the labels of the level with zc zeros
+    # that hold mass; a level without mass has no entry.
+    levels: dict[int, dict[int, int]] = {}
+    for label, c in Counter(reduced(x) for x in a.members).items():
+        levels.setdefault(n - len(label), {})[label_rank(label, k)] = c
 
-    def pour(sinks: tuple[Seq, ...], sources: tuple[Seq, ...], cap: int) -> bool:
-        moved = min(sum(counts[t] for t in sources), sum(cap - counts[s] for s in sinks))
-        left = moved
-        for s in sinks:
-            if not left:
+    def flip(zc: int, level: dict[int, int]) -> dict[int, int]:
+        """The level's counts keyed from its other end."""
+        last = k ** (n - zc) - 1
+        return {last - j: c for j, c in level.items()}
+
+    def pour(zc: int) -> bool:
+        sources, sinks = levels[zc], levels.get(zc - 1, {})
+        mass, held = sum(sources.values()), sum(sinks.values())
+        # Capped above mass + held, the k^(n-zc+1) sinks and their size
+        # C(n, zc-1) pour exactly as they would in full.
+        cap = _capped_comb(n, zc - 1, mass + held)
+        moved = min(mass, capped_pow(k, n - zc + 1, mass + held) * cap - held)
+        if not moved:
+            return False
+        # Fill from the last label up: the labels between two that hold mass
+        # are empty and fill whole.  The room in the level ends the fill
+        # before the last bound, which lies past every label it can reach.
+        t, left = 0, moved
+        for held_at in sorted(sinks) + [max(sinks, default=0) + moved + 1]:
+            whole = min(held_at - t, left // cap)
+            sinks.update(dict.fromkeys(range(t, t + whole), cap))
+            t, left = t + whole, left - whole * cap
+            if t < held_at or not left:
+                if left:
+                    sinks[t] = left
                 break
-            fill = min(cap - counts[s], left)
-            counts[s] += fill
-            left -= fill
+            fill = min(cap - sinks[held_at], left)
+            sinks[held_at] += fill
+            t, left = held_at + 1, left - fill
+        levels[zc - 1] = sinks
         left = moved
-        for t in sources:
-            if not left:
-                break
-            drain = min(counts[t], left)
-            counts[t] -= drain
+        for t in sorted(sources):
+            drain = min(sources[t], left)
+            if drain == sources[t]:
+                del sources[t]
+            else:
+                sources[t] -= drain
             left -= drain
-        return moved > 0
+            if not left:
+                break
+        if not sources:
+            del levels[zc]
+        return True
 
-    def pack(labels: tuple[Seq, ...], cap: int) -> bool:
-        left = sum(counts[s] for s in labels)
-        changed = False
-        for s in labels:
-            fill = min(cap, left)
-            if fill != counts[s]:
-                counts[s], changed = fill, True
-            left -= fill
-        return changed
+    def pack(zc: int) -> bool:
+        level, cap = levels[zc], comb(n, zc)
+        whole, rest = divmod(sum(level.values()), cap)
+        packed = dict.fromkeys(range(whole), cap)
+        if rest:
+            packed[whole] = rest
+        levels[zc] = packed
+        return packed != level
 
-    # v sums the members' zero counts, w the <=_c indices of their components.
+    # v sums the members' zero counts, w the 1-based <=_c indices of their
+    # components.
     def potential_v() -> int:
-        return sum(c * (n - len(label)) for label, c in counts.items())
+        return sum(zc * sum(level.values()) for zc, level in levels.items())
 
     def potential_w() -> int:
-        return sum(c * index[label] for label, c in counts.items())
+        return sum(c * (j + 1) for level in levels.values() for j, c in level.items())
 
-    # Lists, not generators: every level pair pours in every pass.
+    levels = {zc: flip(zc, level) for zc, level in levels.items()}  # for the pours
     v_trace = [potential_v()]
-    while any([pour(levels[zc - 1][::-1], levels[zc][::-1], comb(n, zc - 1))
-               for zc in range(n, 0, -1)]):
+    while True:
+        # A pass pours each level into the one below, top down; the level a
+        # pour fills is the next one down, so it pours in the same pass.
+        todo, moved = sorted(levels), False
+        while todo:
+            zc = todo.pop()
+            if zc and pour(zc):
+                moved = True
+                if not todo or todo[-1] != zc - 1:
+                    todo.append(zc - 1)
+        if not moved:
+            break
         v_trace.append(potential_v())
+    levels = {zc: flip(zc, level) for zc, level in levels.items()}  # for w and the packing
     w_trace = [potential_w()]
-    if any([pack(levels[zc], comb(n, zc)) for zc in range(n, -1, -1)]):
+    if any([pack(zc) for zc in list(levels)]):
         w_trace.append(potential_w())
 
+    # A packed level holds the indices 0, 1, ... in order: its labels are the
+    # level's first ones.
     members = [
         place_label(label, zeros)
-        for label, c in counts.items()
-        for zeros in itertools.islice(colex_combinations(n, n - len(label)), c)
+        for zc in sorted(levels)
+        for label, c in zip(labels_from(n - zc, k, 0), levels[zc].values())
+        for zeros in itertools.islice(colex_combinations(n, zc), c)
     ]
-    return Family(n, k, frozenset(members)), v_trace, w_trace
+    return Family.in_leq_order(n, k, members), v_trace, w_trace
+
+
+def _capped_comb(n: int, j: int, cap: int) -> int:
+    """min(C(n, j), cap + 1), stepped up from C(n, 0) so that a binomial far
+    above cap costs a few steps."""
+    j = min(j, n - j)
+    c = 1
+    for i in range(j):
+        c = c * (n - i) // (i + 1)  # C(n, i + 1), rising while i + 1 <= n / 2
+        if c > cap:
+            return cap + 1
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ three-way comparison fall out of Python int and tuple comparison:
 
 * colex on position sets: S < T iff max(S symdiff T) is in T, which is the
   numeric order of the bitmasks sum(1 << i for i in S), for sets of any sizes.
-* simplicial on {0,1}^n: rank first, ties by min(X symdiff Y) in X.
+* simplicial on {0,1}^n: rank first, ties by min(X symdiff Y) in X;
+  `iter_simplicial` streams it.
 * <=_c on zero-free words: lexicographic over i = 1, 2, ... of the colex masks
   of the value-position sets R_i.  R_0 never differs for zero-free words, so
   the scan starts at i = 1.  The key is one integer, the masks concatenated
   with R_1 most significant.  `level_labels` generates the order without
-  sorting.
+  sorting, and `label_rank` / `label_unrank` map a label to its index in it and
+  back without generating any.
 * <= on {0,...,k}^n: zero count, then <=_c on reduced words, then colex on the
   zero-position sets; `iter_leq` streams it.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .seqcore import (
-    Family, Seq, capped_pow, check_family_size, check_shape, check_size, member_cap, place_label,
+    Family, Seq, capped_pow, check_family_size, check_shape, check_size, place_label,
     positions_of, rank,
 )
 
@@ -101,6 +103,107 @@ def level_labels(n: int, k: int, zc: int):
         yield from fill((k,) * length, 1, (1 << length) - 1)
 
 
+def _mask_weight(bits: list[bool], x: int) -> tuple[int, int]:
+    """(W, clear) for the bits b_0, b_1, ... of a mask: W is the sum over set bits
+    p of (x+1)^p * x^(clear bits above p), and `clear` counts the clear bits.
+    Halves are joined as W = W_high (x+1)^|low| + W_low x^clear_high, so a long
+    mask costs a few big products, not one per bit."""
+    if len(bits) > 64:
+        half = len(bits) // 2
+        low, low_clear = _mask_weight(bits[:half], x)
+        high, high_clear = _mask_weight(bits[half:], x)
+        return high * (x + 1) ** half + low * x ** high_clear, low_clear + high_clear
+    weight = clear = 0
+    power = 1  # (x+1)^p
+    for bit in bits:
+        if bit:
+            weight += power
+        else:
+            weight *= x
+            clear += 1
+        power *= x + 1
+    return weight, clear
+
+
+def label_rank(label: Seq, k: int) -> int:
+    """The index of the zero-free word `label` over {1,...,k} in the <=_c order
+    of its level: `level_labels(n, k, n - len(label))` yields it at this index.
+
+    <=_c compares the masks of R_1, R_2, ... in turn.  With the positions of
+    values below i fixed and f positions left, a mask T < R_i of those
+    positions leaves (k-i)^(f-|T|) labels, all before `label`.  Summed over the
+    T below a mask S, with x = k - i, that is x times the weight of S in
+    `_mask_weight`; a value absent from `label` adds nothing.
+    """
+    index = 0
+    free = label  # the entries not yet ranked, at least `value` from here on
+    for value in sorted(set(label)):
+        if value == k:
+            break
+        x = k - value
+        index += x * _mask_weight([e == value for e in free], x)[0]
+        free = [e for e in free if e != value]
+    return index
+
+
+def label_unrank(length: int, k: int, index: int) -> Seq:
+    """The component label of `length` entries at `index` in <=_c order,
+    the inverse of `label_rank`.
+
+    For each value i from 1 up, with x = k - i and f positions left, the mask of
+    R_i is chosen bit by bit from the top: the labels that keep the bits above
+    and clear bit p number x^(f-a-p) (x+1)^p, with a bits set above.  A power
+    of x that is plainly above `index` by bit length is never computed, so a
+    small index costs no big power.
+    """
+    if not 0 <= index < capped_pow(k, length, index):
+        raise ValueError(f"label index {index} not in [0, {k}^{length})")
+    label = [k] * length
+    free = list(range(length))
+    bits = index.bit_length()  # index only falls, so this stays a bound
+    for value in range(1, k):
+        if not index:
+            break  # every R_i left is empty
+        x, f = k - value, len(free)
+        if f * (x.bit_length() - 1) > bits or x ** f > index:
+            continue  # R_value is empty: its block holds the first x^f indices
+        placed = 0
+        # (x+1)^p > index for p >= bits, so those bits stay clear.
+        for p in range(min(f, bits) - 1, -1, -1):
+            e = f - placed - p
+            if e * (x.bit_length() - 1) > bits:
+                continue  # x^e alone is above index
+            before = x ** e * (x + 1) ** p
+            if index >= before:
+                index -= before
+                label[free[p]] = value
+                placed += 1
+        free = [q for q in free if label[q] == k]
+    return tuple(label)
+
+
+def labels_from(length: int, k: int, index: int):
+    """Stream the component labels of `length` entries in <=_c order, from the
+    one at `index` (`label_unrank`) on, without generating those before it.
+
+    With t the label's top value, R_t fills every position holding t or more,
+    so the next label raises R_{t-1} by one as a mask of those positions: the
+    lowest position holding t takes t - 1, and every other one that holds t,
+    or t - 1 below it, goes back to k.
+    """
+    label = list(label_unrank(length, k, index))
+    while True:
+        yield tuple(label)
+        top = max(label, default=1)
+        if top == 1:
+            return
+        first = label.index(top)
+        for p, e in enumerate(label):
+            if e == top or e == top - 1 and p < first:
+                label[p] = k
+        label[first] = top - 1
+
+
 def iter_leq(n: int, k: int):
     """Stream {0,...,k}^n in <= order: level by level, component by component,
     colex on zero positions within a component."""
@@ -115,17 +218,23 @@ def initial_segment_leq(n: int, k: int, m: int) -> Family:
     check_shape(n, k)
     check_size(m, k + 1, n)
     check_family_size(m, n)
-    return Family(n, k, frozenset(itertools.islice(iter_leq(n, k), m)))
+    return Family.in_leq_order(n, k, itertools.islice(iter_leq(n, k), m))
 
 
-def simplicial_sorted(n: int) -> list[Seq]:
-    """All of {0,1}^n sorted by the simplicial order."""
-    return sorted(itertools.product(range(2), repeat=n), key=simplicial_key)
+def iter_simplicial(n: int):
+    """Stream {0,1}^n in simplicial order: by ones count, then within a count
+    lexicographically on the ascending positions of the ones."""
+    for ones in range(n + 1):
+        for where in itertools.combinations(range(1, n + 1), ones):
+            x = [0] * n
+            for i in where:
+                x[i - 1] = 1
+            yield tuple(x)
 
 
 def simplicial_initial_segment(n: int, m: int) -> Family:
     """The first m sequences of {0,1}^n in simplicial order."""
     check_shape(n, 1)
     check_size(m, 2, n)
-    check_family_size(capped_pow(2, n, member_cap(n)), n)  # all of {0,1}^n is sorted
-    return Family(n, 1, frozenset(simplicial_sorted(n)[:m]))
+    check_family_size(m, n)
+    return Family(n, 1, frozenset(itertools.islice(iter_simplicial(n), m)))

@@ -7,7 +7,7 @@ value of length 0, so deletion shadows of length-1 families are total.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Seq = tuple[int, ...]
 
@@ -101,11 +101,14 @@ class Family:
 
     `Family.of` validates its input, for callers outside the package; the plain
     constructor trusts its caller, as every builder inside does after its checks.
+    `leq_order`, when set, holds the members in <= order, so iterating needs no
+    sort; it takes no part in equality or hashing.
     """
 
     n: int
     k: int
     members: frozenset[Seq]
+    leq_order: tuple[Seq, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, n: int, k: int, seqs) -> "Family":
@@ -119,6 +122,13 @@ class Family:
                     raise ValueError(f"entry {e} at position {i} not in [0, {k}]")
         return cls(n=n, k=k, members=members)
 
+    @classmethod
+    def in_leq_order(cls, n: int, k: int, seqs) -> "Family":
+        """The family of `seqs`, trusted to be distinct and in <= order, as the
+        builders of initial segments produce them."""
+        ordered = tuple(seqs)
+        return cls(n, k, frozenset(ordered), ordered)
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -127,6 +137,8 @@ class Family:
 
     def __iter__(self):
         # Iteration follows the <= order for reproducible output.
+        if self.leq_order is not None:
+            return iter(self.leq_order)
         from .orders import leq_key
 
         return iter(sorted(self.members, key=lambda s: leq_key(s, self.k)))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from delshadow import extremal, verify
+from delshadow import extremal, orders, verify
 from delshadow.cli import build_parser, main
 from delshadow.famio import FamilyFormatError, read_family, write_family
 from delshadow.orders import initial_segment_leq
@@ -352,16 +352,17 @@ class TestExitCodes:
         (26, 2, ""),
         (13, 3, "1 2 3 0 1 2 3 0 1 2 3 0 1\n"),
         (12, 3, "1 2 3 0 1 2 3 0 1 2 3 0\n"),
+        (14, 3, "1 2 3 0 1 2 3 0 1 2 3 0 1 2\n"),
         (100000000, 1, ""),
-    ], ids=["26-2-empty", "13-3", "12-3", "huge-n-1-empty"])
-    def test_canonicalize_of_too_many_labels_is_refused(self, tmp_path, capsys, monkeypatch,
-                                                        n, k, members):
-        # Generating the labels of every level had not ended after 20 s at (26, 2).
-        monkeypatch.setattr(extremal, "level_labels", lambda *args: pytest.fail("work started"))
+    ], ids=["26-2-empty", "13-3", "12-3", "14-3", "huge-n-1-empty"])
+    def test_canonicalize_cost_follows_the_family(self, tmp_path, capsys, monkeypatch,
+                                                  n, k, members):
+        # Generating the labels of every level had not ended after 20 s at (26, 2);
+        # labels are ranked and unranked instead, so none is generated.
+        monkeypatch.setattr(orders, "level_labels", lambda *args: pytest.fail("work started"))
         src = family_file(tmp_path, f"{n} {k}\n{members}")
-        assert run_cli(capsys, "canonicalize", "--in", src) == (2, "", (
-            f"error: canonicalize infeasible: the component labels at n={n}, k={k} hold over "
-            "8388608 entries\n"))
+        out = f"{n} {k}\n" + (" ".join(str(k) * n) + "\n" if members else "")
+        assert run_cli(capsys, "canonicalize", "--in", src) == (0, out, "")
 
     def test_largest_canonicalize_answers(self, tmp_path, capsys):
         src = family_file(tmp_path, "11 3\n0 1 2 3 0 1 2 3 0 1 2\n")

@@ -391,6 +391,24 @@ class TestCanonicalizeAsPours:
         universe = list(itertools.product(range(4), repeat=6))
         self._assert_matches_pairwise(Family.of(6, 3, rng.sample(universe, 40)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 3), st.data())
+    def test_grid_matches_pairwise_sweeps_and_iterates_in_order(self, n, k, data):
+        members = data.draw(st.sets(st.tuples(*[st.integers(0, k)] * n), max_size=80))
+        a = Family.of(n, k, members)
+        self._assert_matches_pairwise(a)
+        b = canonicalize(a)
+        assert list(b) == sorted(b.members, key=lambda x: orders.leq_key(x, k))
+        assert b == Family.of(n, k, b.members)
+
+    def test_no_label_is_generated(self, monkeypatch):
+        rng = random.Random("pour:no-labels")
+        universe = list(itertools.product(range(4), repeat=5))
+        a = Family.of(5, 3, rng.sample(universe, 300))
+        expected = list(itertools.islice(iter_leq(5, 3), 300))
+        monkeypatch.setattr(orders, "level_labels", lambda *args: pytest.fail("work started"))
+        assert list(canonicalize(a)) == expected
+
 
 class TestCanonicalizeOnCounts:
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 3), (5, 1)])

@@ -11,13 +11,16 @@ from delshadow.orders import (
     colex_key,
     initial_segment_leq,
     iter_leq,
+    iter_simplicial,
+    label_rank,
+    label_unrank,
+    labels_from,
     level_labels,
     leq_key,
     simplicial_initial_segment,
     simplicial_key,
-    simplicial_sorted,
 )
-from delshadow.seqcore import place_label, zero_count
+from delshadow.seqcore import Family, member_cap, place_label, zero_count
 
 
 class TestColex:
@@ -73,17 +76,26 @@ class TestSimplicial:
         with pytest.raises(ValueError, match=r"^size 5 not in \[0, 4\]$"):
             simplicial_initial_segment(2, 5)
 
-    def test_too_large_a_universe_is_refused_before_sorting(self, monkeypatch):
+    def test_too_large_a_family_is_refused_before_streaming(self, monkeypatch):
+        # The order is streamed, so the refusal bounds the family's m * n
+        # entries, not the 2^n of the universe.
+        assert simplicial_initial_segment(40, 1).members == {(0,) * 40}
+        assert len(simplicial_initial_segment(19, 3)) == 3
+
         def work_started(n):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(orders, "simplicial_sorted", work_started)
-        for n in (19, 40, 10 ** 8):
+        monkeypatch.setattr(orders, "iter_simplicial", work_started)
+        for n, m in ((10 ** 8, 1), (40, member_cap(40) + 1)):
             with pytest.raises(ValueError, match=f"^family infeasible: .* length {n} "):
-                simplicial_initial_segment(n, 1)
-        # 2^18 members of 18 entries fit in a family, so n = 18 is sorted.
+                simplicial_initial_segment(n, m)
         with pytest.raises(AssertionError, match="work started"):
-            simplicial_initial_segment(18, 1)
+            simplicial_initial_segment(40, member_cap(40))
+
+    def test_stream_follows_the_key(self):
+        for n in range(6):
+            universe = itertools.product((0, 1), repeat=n)
+            assert list(iter_simplicial(n)) == sorted(universe, key=simplicial_key)
 
 
 class TestCOrder:
@@ -153,6 +165,14 @@ class TestInitialSegmentLeq:
         big = initial_segment_leq(n, k, m + 1)
         assert small.members < big.members
 
+    @given(st.integers(0, 6), st.integers(1, 4), st.data())
+    def test_iterates_in_order_without_a_sort(self, n, k, data):
+        m = data.draw(st.integers(0, min((k + 1) ** n, 3000)))
+        seg = initial_segment_leq(n, k, m)
+        assert list(seg) == sorted(seg.members, key=lambda x: leq_key(x, k))
+        assert seg == Family.of(n, k, seg.members)
+        assert hash(seg) == hash(Family.of(n, k, seg.members))
+
 
 def _descending(s) -> tuple[int, ...]:
     """Colex by its definition: sets compared as descending-sorted tuples."""
@@ -218,6 +238,58 @@ class TestGeneratedOrder:
         ]
 
 
+def _rank_by_definition(label, k) -> int:
+    """The <=_c index of `label` summed bit by bit: for each value i < k and
+    each position p of the positions left that holds i, the labels that agree
+    above p and leave p free number (k-i)^(1 + free positions above p) *
+    (k-i+1)^p."""
+    index, free = 0, list(label)
+    for value in range(1, k):
+        x = k - value
+        for p, e in enumerate(free):
+            if e == value:
+                above = sum(1 for f in free[p + 1:] if f != value)
+                index += x ** (1 + above) * (x + 1) ** p
+        free = [e for e in free if e != value]
+    return index
+
+
+class TestLabelRank:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rank_and_unrank_follow_the_levels(self, k):
+        for n in range(8):
+            for zc in range(n + 1):
+                for index, label in enumerate(level_labels(n, k, zc)):
+                    assert label_rank(label, k) == index
+                    assert label_unrank(n - zc, k, index) == label
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_streams_from_any_index_follow_the_levels(self, k):
+        for n in range(5):
+            for zc in range(n + 1):
+                labels = list(level_labels(n, k, zc))
+                for index in range(len(labels)):
+                    assert list(labels_from(n - zc, k, index)) == labels[index:]
+
+    @given(st.integers(1, 6), st.integers(0, 400), st.data())
+    def test_long_labels_round_trip(self, k, length, data):
+        label = tuple(data.draw(st.lists(st.integers(1, k), min_size=length, max_size=length)))
+        index = label_rank(label, k)
+        assert index == _rank_by_definition(label, k)
+        assert label_unrank(length, k, index) == label
+
+    def test_small_indices_of_huge_levels(self):
+        assert label_unrank(10 ** 6, 3, 0) == (3,) * 10 ** 6
+        assert label_unrank(10 ** 6, 1, 0) == (1,) * 10 ** 6
+        assert label_unrank(40, 5000, 2) == (5000,) + (4999,) + (5000,) * 38
+        assert label_rank((5000,) + (4999,) + (5000,) * 38, 5000) == 2
+
+    @pytest.mark.parametrize("length,k,index", [(3, 2, 8), (3, 2, -1), (0, 4, 1), (5, 1, 1)])
+    def test_index_outside_the_level_is_refused(self, length, k, index):
+        with pytest.raises(ValueError, match=f"^label index {index} not in "):
+            label_unrank(length, k, index)
+
+
 def _mask(positions) -> int:
     return sum(1 << i for i in positions)
 
@@ -273,7 +345,7 @@ class TestReversalIsomorphism:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_reversed_construction_is_simplicial_initial(self, n):
-        universe = simplicial_sorted(n)
+        universe = list(iter_simplicial(n))
         for r in range(n + 1):
             high = [
                 x

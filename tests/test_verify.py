@@ -570,6 +570,14 @@ class TestChecksCanFail:
         assert len(details) == 8  # every size but m = 0
         assert all(d.endswith("!= simplicial 0") for d in details)
 
+    def test_theorem2_oracle_shares_no_code_with_the_shadow_operator(self, monkeypatch):
+        # child_masks builds its own children, so a shadow operator that
+        # deletes nothing is caught by the brute-force minimum.
+        monkeypatch.setattr(shadow, "seq_children", lambda x, r_del: set())
+        rep = check_theorem2(3, EXHAUSTIVE)
+        assert not rep.ok
+        assert len(rep.violations) == 8
+
     def test_lemma7_against_a_lossy_compression(self, monkeypatch):
         right = extremal.compress
 
