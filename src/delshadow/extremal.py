@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .orders import colex_combinations, label_rank, labels_from
+from .orders import colex_combinations, label_rank, level_labels
 from .seqcore import (
     Family, Seq, capped_pow, check_family_size, check_radius, check_shape,
     check_size, low_count, member_cap, place_label, reduced,
@@ -118,9 +118,10 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     the k^(n-zc) labels of each level: a pour touches the labels holding mass
     and the sinks it fills, no pass visits an empty level, and the members
     are placed once, at the end, in <= order, on the first labels of each
-    packed level (`labels_from`).  The pours count the indices from each
-    level's last label, where they fill and drain, so they need neither the
-    level's size nor, past the mass in play, its components' size.
+    packed level, drawn from `level_labels` one per label placed.  The pours
+    count the indices from each level's last label, where they fill and
+    drain, so they need neither the level's size nor, past the mass in play,
+    its components' size.
 
     Returns (result, v_trace, w_trace) where the traces hold the potential at
     the start and after every effective pass of the respective phase.
@@ -218,7 +219,7 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     members = [
         place_label(label, zeros)
         for zc in sorted(levels)
-        for label, c in zip(labels_from(n - zc, k, 0), levels[zc].values())
+        for c, label in zip(levels[zc].values(), level_labels(n, k, zc))
         for zeros in itertools.islice(colex_combinations(n, zc), c)
     ]
     return Family.in_leq_order(n, k, members), v_trace, w_trace

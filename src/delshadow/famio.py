@@ -55,5 +55,10 @@ def write_family(a: Family, stream) -> None:
         stream.write(format_sequence(x) + "\n")
 
 
+# Entries lie in [0, k]; sharing the text of those below 256 spares a long
+# member one new str per entry.
+_ENTRY_TEXT = tuple(map(str, range(256)))
+
+
 def format_sequence(x) -> str:
-    return " ".join(str(e) for e in x)
+    return " ".join([_ENTRY_TEXT[e] if e < 256 else str(e) for e in x])

@@ -10,9 +10,9 @@ three-way comparison fall out of Python int and tuple comparison:
 * <=_c on zero-free words: lexicographic over i = 1, 2, ... of the colex masks
   of the value-position sets R_i.  R_0 never differs for zero-free words, so
   the scan starts at i = 1.  The key is one integer, the masks concatenated
-  with R_1 most significant.  `level_labels` generates the order without
-  sorting, and `label_rank` / `label_unrank` map a label to its index in it and
-  back without generating any.
+  with R_1 most significant.  `level_labels` streams the order by a successor
+  step, without sorting, and `label_rank` maps a label to its index in it
+  without generating any.
 * <= on {0,...,k}^n: zero count, then <=_c on reduced words, then colex on the
   zero-position sets; `iter_leq` streams it.
 """
@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .seqcore import (
-    Family, Seq, capped_pow, check_family_size, check_shape, check_size, place_label,
-    positions_of, rank,
+    Family, Seq, check_family_size, check_shape, check_size, place_label, positions_of, rank,
 )
 
 
@@ -84,23 +83,25 @@ def colex_combinations(n: int, r: int):
 def level_labels(n: int, k: int, zc: int):
     """The component labels of the level with `zc` zeros, streamed in <=_c order.
 
-    <=_c is lexicographic over the masks of R_1, ..., R_{k-1}; R_k is the rest.
-    With values low..k-1 still to place on the `free` positions (which hold k),
-    the label without them comes first; then, for each value from k-1 down,
-    each nonempty submask of `free` in increasing order takes that value, and
-    the positions left are filled with the values above it.
+    The first label holds k everywhere.  With t the label's top value, R_t
+    fills every position holding t or more, so the next label raises R_{t-1}
+    by one as a mask of those positions: the lowest position holding t takes
+    t - 1, and every other one that holds t, or t - 1 below it, goes back to k.
     """
-    def fill(label: Seq, low: int, free: int):
-        yield label
-        for value in range(k - 1, low - 1, -1):
-            sub = 0
-            while sub := (sub - free) & free:
-                placed = tuple(value if sub >> i & 1 else e for i, e in enumerate(label))
-                yield from fill(placed, value + 1, free & ~sub)
-
     length = n - zc
-    if k >= 1 or length == 0:
-        yield from fill((k,) * length, 1, (1 << length) - 1)
+    if k < 1 and length:
+        return
+    label = [k] * length
+    while True:
+        yield tuple(label)
+        top = max(label, default=1)
+        if top == 1:
+            return
+        first = label.index(top)
+        for p, e in enumerate(label):
+            if e == top or e == top - 1 and p < first:
+                label[p] = k
+        label[first] = top - 1
 
 
 def _mask_weight(bits: list[bool], x: int) -> tuple[int, int]:
@@ -144,64 +145,6 @@ def label_rank(label: Seq, k: int) -> int:
         index += x * _mask_weight([e == value for e in free], x)[0]
         free = [e for e in free if e != value]
     return index
-
-
-def label_unrank(length: int, k: int, index: int) -> Seq:
-    """The component label of `length` entries at `index` in <=_c order,
-    the inverse of `label_rank`.
-
-    For each value i from 1 up, with x = k - i and f positions left, the mask of
-    R_i is chosen bit by bit from the top: the labels that keep the bits above
-    and clear bit p number x^(f-a-p) (x+1)^p, with a bits set above.  A power
-    of x that is plainly above `index` by bit length is never computed, so a
-    small index costs no big power.
-    """
-    if not 0 <= index < capped_pow(k, length, index):
-        raise ValueError(f"label index {index} not in [0, {k}^{length})")
-    label = [k] * length
-    free = list(range(length))
-    bits = index.bit_length()  # index only falls, so this stays a bound
-    for value in range(1, k):
-        if not index:
-            break  # every R_i left is empty
-        x, f = k - value, len(free)
-        if f * (x.bit_length() - 1) > bits or x ** f > index:
-            continue  # R_value is empty: its block holds the first x^f indices
-        placed = 0
-        # (x+1)^p > index for p >= bits, so those bits stay clear.
-        for p in range(min(f, bits) - 1, -1, -1):
-            e = f - placed - p
-            if e * (x.bit_length() - 1) > bits:
-                continue  # x^e alone is above index
-            before = x ** e * (x + 1) ** p
-            if index >= before:
-                index -= before
-                label[free[p]] = value
-                placed += 1
-        free = [q for q in free if label[q] == k]
-    return tuple(label)
-
-
-def labels_from(length: int, k: int, index: int):
-    """Stream the component labels of `length` entries in <=_c order, from the
-    one at `index` (`label_unrank`) on, without generating those before it.
-
-    With t the label's top value, R_t fills every position holding t or more,
-    so the next label raises R_{t-1} by one as a mask of those positions: the
-    lowest position holding t takes t - 1, and every other one that holds t,
-    or t - 1 below it, goes back to k.
-    """
-    label = list(label_unrank(length, k, index))
-    while True:
-        yield tuple(label)
-        top = max(label, default=1)
-        if top == 1:
-            return
-        first = label.index(top)
-        for p, e in enumerate(label):
-            if e == top or e == top - 1 and p < first:
-                label[p] = k
-        label[first] = top - 1
 
 
 def iter_leq(n: int, k: int):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from delshadow import extremal, orders, verify
 from delshadow.cli import build_parser, main
-from delshadow.famio import FamilyFormatError, read_family, write_family
+from delshadow.famio import FamilyFormatError, format_sequence, read_family, write_family
 from delshadow.orders import initial_segment_leq
 from delshadow.seqcore import Family
 from delshadow.verify import ALL_CHECKS
@@ -55,6 +56,23 @@ class TestFamilyFormat:
         with pytest.raises(TypeError):
             write_family(Family(2, 1, frozenset({(0, 1), (0, "1")})), buf)
         assert buf.getvalue() == ""
+
+    def test_entries_format_as_decimal_text(self):
+        x = (0, 1, 9, 10, 255, 256, 1000, 10 ** 20)
+        assert format_sequence(x) == " ".join(map(str, x))
+        assert format_sequence(()) == ""
+
+    def test_long_member_is_formatted_without_a_str_per_entry(self):
+        # One str per entry peaked at about 60 MB for 10^6 entries.
+        x = (1,) * 10 ** 6
+        tracemalloc.start()
+        try:
+            line = format_sequence(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert line == "1 " * (10 ** 6 - 1) + "1"
+        assert peak < 20 * 10 ** 6
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -358,11 +376,19 @@ class TestExitCodes:
     def test_canonicalize_cost_follows_the_family(self, tmp_path, capsys, monkeypatch,
                                                   n, k, members):
         # Generating the labels of every level had not ended after 20 s at (26, 2);
-        # labels are ranked and unranked instead, so none is generated.
-        monkeypatch.setattr(orders, "level_labels", lambda *args: pytest.fail("work started"))
+        # labels are ranked instead, and only the labels placed are drawn.
+        drawn = []
+
+        def counted(*args):
+            for label in orders.level_labels(*args):
+                drawn.append(label)
+                yield label
+
+        monkeypatch.setattr(extremal, "level_labels", counted)
         src = family_file(tmp_path, f"{n} {k}\n{members}")
         out = f"{n} {k}\n" + (" ".join(str(k) * n) + "\n" if members else "")
         assert run_cli(capsys, "canonicalize", "--in", src) == (0, out, "")
+        assert drawn == ([(k,) * n] if members else [])
 
     def test_largest_canonicalize_answers(self, tmp_path, capsys):
         src = family_file(tmp_path, "11 3\n0 1 2 3 0 1 2 3 0 1 2\n")

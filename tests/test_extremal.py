@@ -401,13 +401,21 @@ class TestCanonicalizeAsPours:
         assert list(b) == sorted(b.members, key=lambda x: orders.leq_key(x, k))
         assert b == Family.of(n, k, b.members)
 
-    def test_no_label_is_generated(self, monkeypatch):
+    def test_only_the_labels_placed_are_drawn(self, monkeypatch):
         rng = random.Random("pour:no-labels")
         universe = list(itertools.product(range(4), repeat=5))
         a = Family.of(5, 3, rng.sample(universe, 300))
         expected = list(itertools.islice(iter_leq(5, 3), 300))
-        monkeypatch.setattr(orders, "level_labels", lambda *args: pytest.fail("work started"))
+        drawn = []
+
+        def counted(*args):
+            for label in level_labels(*args):
+                drawn.append(label)
+                yield label
+
+        monkeypatch.setattr(extremal, "level_labels", counted)
         assert list(canonicalize(a)) == expected
+        assert drawn == list(dict.fromkeys(seqcore.reduced(x) for x in expected))
 
 
 class TestCanonicalizeOnCounts:
