@@ -372,7 +372,10 @@ class TestExitCodes:
         (12, 3, "1 2 3 0 1 2 3 0 1 2 3 0\n"),
         (14, 3, "1 2 3 0 1 2 3 0 1 2 3 0 1 2\n"),
         (100000000, 1, ""),
-    ], ids=["26-2-empty", "13-3", "12-3", "14-3", "huge-n-1-empty"])
+        *((100000, k, " ".join(str(i % (k + 1)) for i in range(100000)) + "\n")
+          for k in (1, 2, 3)),
+    ], ids=["26-2-empty", "13-3", "12-3", "14-3", "huge-n-1-empty",
+            "long-1", "long-2", "long-3"])
     def test_canonicalize_cost_follows_the_family(self, tmp_path, capsys, monkeypatch,
                                                   n, k, members):
         # Generating the labels of every level had not ended after 20 s at (26, 2);

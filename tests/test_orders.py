@@ -260,6 +260,19 @@ class TestLabelRank:
                 for index, label in enumerate(level_labels(n, k, zc)):
                     assert label_rank(label, k) == index
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_streams_from_any_index_follow_the_levels(self, k):
+        # A stream that starts later is level_labels cut at the rank of its first label.
+        for n in range(5):
+            for zc in range(n + 1):
+                words = itertools.product(range(1, k + 1), repeat=n - zc)
+                expected = sorted(words, key=lambda u: _c_definition(u, k))
+                for label in expected:
+                    start = label_rank(label, k)
+                    stream = itertools.islice(level_labels(n, k, zc), start, None)
+                    assert list(stream) == expected[start:]
+                    assert expected[start] == label
+
     @given(st.integers(1, 6), st.integers(0, 400), st.data())
     def test_long_labels_rank_by_the_definition(self, k, length, data):
         label = tuple(data.draw(st.lists(st.integers(1, k), min_size=length, max_size=length)))
