@@ -12,12 +12,14 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import types
 
 import pytest
 
 from delshadow import cli, extremal, verify
+from delshadow.seqcore import Family
 from delshadow.verify import SearchBudget
 
 BUDGETS = {
@@ -112,6 +114,32 @@ def cli_digest(argv: list[str]) -> str:
 # theorem1's violations carry a witness family and lemma3's carry none.
 _FAILING = "verify --suite theorem1,lemma3 --n 2 --k 1 --mode exhaustive"
 FAILING_COMMANDS = [_FAILING, f"{_FAILING} --json"]
+
+
+def seeded_family(n: int, k: int, share: float) -> Family:
+    """int(share * (k+1)^n) distinct members drawn with a seed fixed by (n, k)."""
+    rng = random.Random(f"canon-pin:{n}:{k}")
+    base = k + 1
+    members = []
+    for code in rng.sample(range(base**n), int(share * base**n)):
+        x = []
+        for _ in range(n):
+            code, e = divmod(code, base)
+            x.append(e)
+        members.append(tuple(x))
+    return Family.of(n, k, members)
+
+
+# canonicalize past the reach of the pairwise sweeps in test_extremal.py:
+# passes that pour over several levels (v traces of 4 and 6 entries), and
+# packings that move mass and that find it packed (w traces of 2 and 1).
+CANONICALIZE_CASES = {
+    "8,3,5%": lambda: seeded_family(8, 3, 0.05),
+    "9,2,50%": lambda: seeded_family(9, 2, 0.5),
+    "6,5,50%": lambda: seeded_family(6, 5, 0.5),
+    "12,1,40%": lambda: seeded_family(12, 1, 0.4),
+    "one member 0123..,2000,3": lambda: Family.of(2000, 3, [tuple(i % 4 for i in range(2000))]),
+}
 
 
 def write_files(directory) -> None:
@@ -286,6 +314,19 @@ CLI_DIGESTS = {
         "6e655e5435b936060654b3f7499dfdfe99b74def922475b40575be7a33dd30ea",
 }
 
+CANONICALIZE_DIGESTS = {
+    "8,3,5%":
+        "4ba7f10cd19507b00a1260100f47eba56f57a4a45becea2892ad45e90e08b2e2",
+    "9,2,50%":
+        "22336b5b18a54cf2b4e48fd84589f5f2e26041faaada6b15e0c846fcf5fe1a3a",
+    "6,5,50%":
+        "a7fc910e04d18f66e4d8ab90d85db0be2d384c6ed16375b61e7e2720b3a62d88",
+    "12,1,40%":
+        "33b8693deebc7baaefd43dbc2499c23060310f7e01fa88acdf61e880f826d914",
+    "one member 0123..,2000,3":
+        "07504d9825b5b6a52ad811e8c1be51615b61314b4dc35616a1f4dc06ab505416",
+}
+
 FAILING_DIGESTS = {
     _FAILING:
         "941eeb649677f1ec8fb83539491448d9287257de72fc7671b90b9e8f443eebdd",
@@ -317,6 +358,16 @@ def test_cli_bytes_are_unchanged(tmp_path, monkeypatch, command):
 
 def test_every_command_is_pinned():
     assert sorted(COMMANDS) == sorted(CLI_DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(CANONICALIZE_CASES))
+def test_canonicalize_is_unchanged(case):
+    result, v_trace, w_trace = extremal.canonicalize_with_potentials(CANONICALIZE_CASES[case]())
+    assert _sha(repr((list(result), v_trace, w_trace))) == CANONICALIZE_DIGESTS[case]
+
+
+def test_every_canonicalize_case_is_pinned():
+    assert sorted(CANONICALIZE_CASES) == sorted(CANONICALIZE_DIGESTS)
 
 
 @pytest.mark.parametrize("command", FAILING_COMMANDS)
