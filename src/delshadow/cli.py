@@ -59,7 +59,10 @@ def _parse_word(text: str) -> tuple[int, ...]:
 def _parse_radius(text: str, k: int) -> int:
     if text == "max":
         return k
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"radius must be an integer or 'max', got {text!r}")
 
 
 @functools.cache

@@ -105,123 +105,85 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     s,t-compression sets c[s] to min(c[s] + c[t], |C_s|) and c[t] to the rest,
     so compressing every sink s of one level with every source t of the level
     above, last labels first, is a pour of min(mass in the sources, room in
-    the sinks): the sinks fill from the level's last label down and the
-    sources drain from theirs.  Cross-level passes pour each level into the
-    one below, top down, until no mass moves; each effective pass lowers v, a
-    non-negative integer, so the passes end.  The pairwise same-level
-    compressions leave a level packed as |C|, ..., |C|, rest, 0, ..., which
-    is their fixpoint, so one packing pass replaces them and lowers w once if
-    it moves anything.
+    the sinks): the sinks are topped up one label at a time from the level's
+    last label, and the sources drain from theirs.  A pass pours each level
+    into the one below, top down, and passes repeat until no mass moves; each
+    effective pass lowers v, a non-negative integer, so the passes end.  The
+    pairwise same-level compressions leave a level packed as |C|, ..., |C|,
+    rest, 0, ..., which is their fixpoint and, for the level's mass, the one
+    placement of least w; so packing is read off each level's mass, and it
+    lowers w once if it moves anything.
 
-    A level is held as the counts of the labels that hold mass, keyed by
-    their <=_c indices (`label_rank`), so the work follows the family, not
-    the k^(n-zc) labels of each level: a pour touches the labels holding mass
-    and the sinks it fills, no pass visits an empty level, and the members
-    are placed once, at the end, in <= order, on the first labels of each
-    packed level, drawn from `level_labels` one per label placed.  The pours
-    count the indices from each level's last label, where they fill and
-    drain, so they need neither the level's size nor, past the mass in play,
-    its components' size.
+    A level is held as the counts of the labels that hold mass, keyed once by
+    their index from the level's last label, k^(n-zc) - 1 - `label_rank`, so
+    the work follows the family, not the k^(n-zc) labels of each level: a
+    pour touches the labels holding mass and the sinks it fills, and needs
+    neither the level's size nor, past the mass in play, its components'
+    size.  The members are placed once, at the end, in <= order, on the first
+    labels of each packed level, drawn from `level_labels` one per label
+    placed.
 
     Returns (result, v_trace, w_trace) where the traces hold the potential at
     the start and after every effective pass of the respective phase.
     """
     n, k = a.n, a.k
-    # levels[zc]: index -> count for the labels of the level with zc zeros
-    # that hold mass; a level without mass has no entry.
+    # levels[zc]: index from the last label -> count, for the labels of the
+    # level with zc zeros that hold mass; a level without mass has no entry.
     levels: dict[int, dict[int, int]] = {}
     for label, c in Counter(reduced(x) for x in a.members).items():
-        levels.setdefault(n - len(label), {})[label_rank(label, k)] = c
+        levels.setdefault(n - len(label), {})[k ** len(label) - 1 - label_rank(label, k)] = c
 
-    def flip(zc: int, level: dict[int, int]) -> dict[int, int]:
-        """The level's counts keyed from its other end."""
-        last = k ** (n - zc) - 1
-        return {last - j: c for j, c in level.items()}
-
-    def pour(zc: int) -> bool:
-        sources, sinks = levels[zc], levels.get(zc - 1, {})
-        mass, held = sum(sources.values()), sum(sinks.values())
-        # Capped above mass + held, the k^(n-zc+1) sinks and their size
-        # C(n, zc-1) pour exactly as they would in full.
-        cap = _capped_comb(n, zc - 1, mass + held)
-        moved = min(mass, capped_pow(k, n - zc + 1, mass + held) * cap - held)
-        if not moved:
-            return False
-        # Fill from the last label up: the labels between two that hold mass
-        # are empty and fill whole.  The room in the level ends the fill
-        # before the last bound, which lies past every label it can reach.
-        t, left = 0, moved
-        for held_at in sorted(sinks) + [max(sinks, default=0) + moved + 1]:
-            whole = min(held_at - t, left // cap)
-            sinks.update(dict.fromkeys(range(t, t + whole), cap))
-            t, left = t + whole, left - whole * cap
-            if t < held_at or not left:
-                if left:
-                    sinks[t] = left
-                break
-            fill = min(cap - sinks[held_at], left)
-            sinks[held_at] += fill
-            t, left = held_at + 1, left - fill
-        levels[zc - 1] = sinks
-        left = moved
-        for t in sorted(sources):
-            drain = min(sources[t], left)
-            if drain == sources[t]:
-                del sources[t]
-            else:
-                sources[t] -= drain
-            left -= drain
-            if not left:
-                break
-        if not sources:
-            del levels[zc]
-        return True
-
-    def pack(zc: int) -> bool:
-        level, cap = levels[zc], comb(n, zc)
-        whole, rest = divmod(sum(level.values()), cap)
-        packed = dict.fromkeys(range(whole), cap)
-        if rest:
-            packed[whole] = rest
-        levels[zc] = packed
-        return packed != level
-
-    # v sums the members' zero counts, w the 1-based <=_c indices of their
-    # components.
-    def potential_v() -> int:
-        return sum(zc * sum(level.values()) for zc, level in levels.items())
-
-    def potential_w() -> int:
-        return sum(c * (j + 1) for level in levels.values() for j, c in level.items())
-
-    levels = {zc: flip(zc, level) for zc, level in levels.items()}  # for the pours
-    v_trace = [potential_v()]
+    # v sums the members' zero counts, so a pour lowers it by the mass it moves.
+    v = sum(zc * sum(level.values()) for zc, level in levels.items())
+    v_trace = [v]
     while True:
-        # A pass pours each level into the one below, top down; the level a
-        # pour fills is the next one down, so it pours in the same pass.
-        todo, moved = sorted(levels), False
-        while todo:
-            zc = todo.pop()
-            if zc and pour(zc):
-                moved = True
-                if not todo or todo[-1] != zc - 1:
-                    todo.append(zc - 1)
-        if not moved:
+        # A pour into an empty level moves mass, so every level from the top
+        # down holds mass when the pass reaches it, and a pour that moves
+        # nothing finds its sinks present.
+        for zc in range(max(levels, default=0), 0, -1):
+            sources, sinks = levels[zc], levels.setdefault(zc - 1, {})
+            mass, held = sum(sources.values()), sum(sinks.values())
+            # Capped above mass + held, the k^(n-zc+1) sinks and their size
+            # C(n, zc-1) pour exactly as they would in full.
+            cap = _capped_comb(n, zc - 1, mass + held)
+            moved = min(mass, capped_pow(k, n - zc + 1, mass + held) * cap - held)
+            if not moved:
+                continue
+            v -= moved
+            t, left = 0, moved
+            while left:
+                fill = min(cap - sinks.get(t, 0), left)
+                sinks[t] = sinks.get(t, 0) + fill
+                t, left = t + 1, left - fill
+            left = moved
+            for t in sorted(sources):
+                if sources[t] > left:
+                    sources[t] -= left
+                    break
+                left -= sources.pop(t)
+            if not sources:
+                del levels[zc]
+        if v == v_trace[-1]:
             break
-        v_trace.append(potential_v())
-    levels = {zc: flip(zc, level) for zc, level in levels.items()}  # for w and the packing
-    w_trace = [potential_w()]
-    if any([pack(zc) for zc in list(levels)]):
-        w_trace.append(potential_w())
+        v_trace.append(v)
 
-    # A packed level holds the indices 0, 1, ... in order: its labels are the
-    # level's first ones.
-    members = [
-        place_label(label, zeros)
-        for zc in sorted(levels)
-        for c, label in zip(levels[zc].values(), level_labels(n, k, zc))
-        for zeros in itertools.islice(colex_combinations(n, zc), c)
-    ]
+    # w sums the members' 1-based <=_c indices of their components, which are
+    # k^(n-zc) - j from the last-label index j.  A packed level holds its
+    # first labels in order, so its w is a sum of an arithmetic series.
+    w = packed_w = 0
+    members = []
+    for zc in sorted(levels):
+        level, top, cap = levels[zc], k ** (n - zc), comb(n, zc)
+        w += sum(c * (top - j) for j, c in level.items())
+        whole, rest = divmod(sum(level.values()), cap)
+        packed_w += cap * whole * (whole + 1) // 2 + rest * (whole + 1)
+        counts = [cap] * whole + ([rest] if rest else [])
+        members += (
+            place_label(label, zeros)
+            for c, label in zip(counts, level_labels(n, k, zc))
+            for zeros in itertools.islice(colex_combinations(n, zc), c)
+        )
+    w_trace = [w] if packed_w == w else [w, packed_w]
     return Family.in_leq_order(n, k, members), v_trace, w_trace
 
 

@@ -215,16 +215,11 @@ def _is_exact(budget: SearchBudget, size: int, m: int) -> bool:
 def _sweep_universe(n: int, k: int) -> int:
     """The universe size (k+1)^n, refusing inputs no sweep can take."""
     check_shape(n, k)
-    # (k+1)^n >= 2^n, so both tests imply an oversized universe; they refuse a
-    # huge n or k before a power that could take hours is computed.
-    if n > SWEEP_UNIVERSE_LIMIT.bit_length() or (n >= 1 and k + 1 > SWEEP_UNIVERSE_LIMIT):
-        raise ValueError(
-            f"sweep infeasible: universe has {k + 1}^{n} > {SWEEP_UNIVERSE_LIMIT} elements"
-        )
-    size = (k + 1) ** n
+    # Capped, a power that could take hours is never computed.
+    size = capped_pow(k + 1, n, SWEEP_UNIVERSE_LIMIT)
     if size > SWEEP_UNIVERSE_LIMIT:
         raise ValueError(
-            f"sweep infeasible: universe has {size} > {SWEEP_UNIVERSE_LIMIT} elements"
+            f"sweep infeasible: universe has {k + 1}^{n} > {SWEEP_UNIVERSE_LIMIT} elements"
         )
     return size
 

@@ -423,6 +423,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "deletion radius" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,r", [("shadow", "abc"), ("bound", "1.5")])
+    def test_non_integer_radius_names_the_flag(self, tmp_path, capsys, command, r):
+        src = family_file(tmp_path, "2 1\n0 1\n")
+        code, out, err = run_cli(capsys, command, "--r", r, "--in", src)
+        assert (code, out) == (2, "")
+        assert err == f"error: radius must be an integer or 'max', got '{r}'\n"
+
     @pytest.mark.parametrize(
         "family", ["3 2\n0 0 1\n", "3 2\n0 2 2\n"], ids=["mass_to_place", "no_mass"]
     )

@@ -5,6 +5,9 @@ output, and were equal on Python 3.10, 3.11, 3.12 and 3.13.  A mismatch here
 is a change in what delshadow reports or prints: find its cause, and record a
 new digest only for a change that is meant.
 
+`canonicalize`'s members and potential traces are pinned the same way, on
+seeded families larger than the pairwise sweeps of test_extremal.py reach.
+
 Reports are hashed without their elapsed time.  The CLI runs in process with
 `run_suite`'s clock fixed at 0, so `verify`'s text and JSON carry "0 ms".
 """
