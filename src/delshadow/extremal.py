@@ -107,7 +107,8 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     above, last labels first, is a pour of min(mass in the sources, room in
     the sinks): the sinks are topped up one label at a time from the level's
     last label, and the sources drain from theirs.  A pass pours each level
-    into the one below, top down, and passes repeat until no mass moves; each
+    into the one below, top down, in one pour across a run of empty levels
+    that can each hold the whole mass, and passes repeat until no mass moves; each
     effective pass lowers v, a non-negative integer, so the passes end.  The
     pairwise same-level compressions leave a level packed as |C|, ..., |C|,
     rest, 0, ..., which is their fixpoint and, for the level's mass, the one
@@ -137,32 +138,46 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
     v = sum(zc * sum(level.values()) for zc, level in levels.items())
     v_trace = [v]
     while True:
-        # A pour into an empty level moves mass, so every level from the top
-        # down holds mass when the pass reaches it, and a pour that moves
-        # nothing finds its sinks present.
-        for zc in range(max(levels, default=0), 0, -1):
-            sources, sinks = levels[zc], levels.setdefault(zc - 1, {})
-            mass, held = sum(sources.values()), sum(sinks.values())
-            # Capped above mass + held, the k^(n-zc+1) sinks and their size
-            # C(n, zc-1) pour exactly as they would in full.
-            cap = _capped_comb(n, zc - 1, mass + held)
-            moved = min(mass, capped_pow(k, n - zc + 1, mass + held) * cap - held)
-            if not moved:
-                continue
-            v -= moved
-            t, left = 0, moved
-            while left:
-                fill = min(cap - sinks.get(t, 0), left)
-                sinks[t] = sinks.get(t, 0) + fill
-                t, left = t + 1, left - fill
-            left = moved
-            for t in sorted(sources):
-                if sources[t] > left:
-                    sources[t] -= left
-                    break
-                left -= sources.pop(t)
-            if not sources:
-                del levels[zc]
+        # A pour into an empty level moves mass, so every level the pass
+        # reaches holds mass: its top, each level a pour fills, and the lower
+        # levels that held mass when it began, taken from `lower` in turn.
+        lower = sorted(levels)
+        zc = lower.pop() if lower else 0
+        while zc:
+            sources = levels[zc]
+            mass = sum(sources.values())
+            # Pouring level by level down a run of empty levels that can each
+            # hold the whole mass leaves it all on the run's lowest level, so
+            # the mass crosses the run in one pour.  The capacities
+            # k^(n-j) C(n, j) are log-concave in j, so the run's two ends
+            # decide whether every level of it can.
+            below, to = lower[-1] if lower else -1, zc - 1
+            if below < to - 1 and _holds(n, k, to, mass) and _holds(n, k, below + 1, mass):
+                to = below + 1
+            sinks = levels.setdefault(to, {})
+            held = sum(sinks.values())
+            # Capped above mass + held, the k^(n-to) sinks and their size
+            # C(n, to) pour exactly as they would in full.
+            cap = _capped_comb(n, to, mass + held)
+            moved = min(mass, capped_pow(k, n - to, mass + held) * cap - held)
+            if moved:
+                v -= moved * (zc - to)
+                t, left = 0, moved
+                while left:
+                    fill = min(cap - sinks.get(t, 0), left)
+                    sinks[t] = sinks.get(t, 0) + fill
+                    t, left = t + 1, left - fill
+                left = moved
+                for t in sorted(sources):
+                    if sources[t] > left:
+                        sources[t] -= left
+                        break
+                    left -= sources.pop(t)
+                if not sources:
+                    del levels[zc]
+            zc = to
+            if lower and lower[-1] == zc:
+                lower.pop()
         if v == v_trace[-1]:
             break
         v_trace.append(v)
@@ -185,6 +200,12 @@ def canonicalize_with_potentials(a: Family) -> tuple[Family, list[int], list[int
         )
     w_trace = [w] if packed_w == w else [w, packed_w]
     return Family.in_leq_order(n, k, members), v_trace, w_trace
+
+
+def _holds(n: int, k: int, j: int, mass: int) -> bool:
+    """Whether the level with j zeros, k^(n-j) components of C(n, j) sequences
+    each, has room for `mass` members."""
+    return capped_pow(k, n - j, mass) * _capped_comb(n, j, mass) >= mass
 
 
 def _capped_comb(n: int, j: int, cap: int) -> int:

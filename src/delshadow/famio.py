@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from .seqcore import Family
 
+# Entries lie in [0, k]; sharing the text of those below 256 spares a long
+# member one new str per entry, and a table from that text to the entry parses
+# a line of canonical tokens with no int() per token.
+_ENTRY_TEXT = tuple(map(str, range(256)))
+
 
 class FamilyFormatError(ValueError):
     """Malformed family file; the message carries the offending line number."""
@@ -19,12 +24,20 @@ def read_family(stream) -> Family:
     header = None
     members = []
     n = k = 0
+    entry = {}  # canonical text -> entry, for the entries 0 .. min(k, 255)
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if line.startswith("#") or not line and (header is None or n):
             continue  # past an `0 k` header, a blank line is the member ()
+        tokens = line.split()
+        if len(tokens) == n:
+            try:
+                members.append(tuple(map(entry.__getitem__, tokens)))
+                continue
+            except KeyError:
+                pass  # another spelling, or no header yet: checked one token at a time
         try:
-            values = [int(tok) for tok in line.split()]
+            values = [int(tok) for tok in tokens]
         except ValueError:
             raise FamilyFormatError(f"line {lineno}: non-integer token in {line!r}")
         if header is None:
@@ -34,6 +47,7 @@ def read_family(stream) -> Family:
             if n < 0 or k < 1:
                 raise FamilyFormatError(f"line {lineno}: need n >= 0 and k >= 1, got n={n} k={k}")
             header = (n, k)
+            entry = {text: e for e, text in enumerate(_ENTRY_TEXT[:k + 1])}
             continue
         if len(values) != n:
             raise FamilyFormatError(
@@ -53,11 +67,6 @@ def write_family(a: Family, stream) -> None:
     stream.write(f"{a.n} {a.k}\n")
     for x in members:
         stream.write(format_sequence(x) + "\n")
-
-
-# Entries lie in [0, k]; sharing the text of those below 256 spares a long
-# member one new str per entry.
-_ENTRY_TEXT = tuple(map(str, range(256)))
 
 
 def format_sequence(x) -> str:

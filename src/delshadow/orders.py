@@ -87,6 +87,9 @@ def level_labels(n: int, k: int, zc: int):
     fills every position holding t or more, so the next label raises R_{t-1}
     by one as a mask of those positions: the lowest position holding t takes
     t - 1, and every other one that holds t, or t - 1 below it, goes back to k.
+    At t = k the others holding t already hold k, so only the positions below
+    the lowest one are walked: a binary increment on the positions holding
+    k - 1 or k.
     """
     length = n - zc
     if k < 1 and length:
@@ -97,11 +100,15 @@ def level_labels(n: int, k: int, zc: int):
         top = max(label, default=1)
         if top == 1:
             return
-        first = label.index(top)
-        for p, e in enumerate(label):
-            if e == top or e == top - 1 and p < first:
+        first, low = label.index(top), top - 1
+        for p in range(first):
+            if label[p] == low:
                 label[p] = k
-        label[first] = top - 1
+        if top < k:
+            for p in range(first + 1, length):
+                if label[p] == top:
+                    label[p] = k
+        label[first] = low
 
 
 def _mask_weight(bits: list[bool], x: int) -> tuple[int, int]:
@@ -150,7 +157,8 @@ def label_rank(label: Seq, k: int) -> int:
 def iter_leq(n: int, k: int):
     """Stream {0,...,k}^n in <= order: level by level, component by component,
     colex on zero positions within a component."""
-    for zc in range(n + 1):
+    yield from level_labels(n, k, 0)  # a zero-free label is its own component
+    for zc in range(1, n + 1):
         for label in level_labels(n, k, zc):
             for zeros in colex_combinations(n, zc):
                 yield place_label(label, zeros)

@@ -8,6 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delshadow import extremal, orders, verify
 from delshadow.cli import build_parser, main
@@ -88,6 +89,89 @@ class TestFamilyFormat:
     def test_malformed_inputs_carry_line_numbers(self, text, fragment):
         with pytest.raises(FamilyFormatError, match=fragment):
             read_family(io.StringIO(text))
+
+
+def _read_by_tokens(stream):
+    """The family format read one token at a time with int(), as a reference
+    for `read_family`: ("family", n, k, members) or ("error", message)."""
+    header, members, n, k = None, set(), 0, 0
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line.startswith("#") or not line and (header is None or n):
+            continue
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            return ("error", f"line {lineno}: non-integer token in {line!r}")
+        if header is None:
+            if len(values) != 2:
+                return ("error", f"line {lineno}: header must be `n k`, got {line!r}")
+            n, k = header = values
+            if n < 0 or k < 1:
+                return ("error", f"line {lineno}: need n >= 0 and k >= 1, got n={n} k={k}")
+            continue
+        if len(values) != n:
+            return ("error", f"line {lineno}: expected {n} entries, got {len(values)}")
+        for e in values:
+            if not 0 <= e <= k:
+                return ("error", f"line {lineno}: entry {e} not in [0, {k}]")
+        members.add(tuple(values))
+    if header is None:
+        return ("error", "missing `n k` header line")
+    return ("family", n, k, members)
+
+
+def _spellings(k):
+    """One entry's text: canonical decimal mostly, else another spelling that
+    int() reads or refuses."""
+    entries = st.sampled_from(sorted({0, 1, 2, k - 1, k, k + 1, 255, 256, 999, 1000, 1001}))
+    odd = st.sampled_from(["01", "+1", "1_0", "\u0661", "-0", "-1", "00", "1.0", "x", "0x1"])
+    return st.one_of(entries.map(str), entries.map(str), odd)
+
+
+@st.composite
+def _family_texts(draw):
+    n, k = draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3, 255, 256, 1000]))
+    lines = ["# a comment", f"{n} {k}"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["member", "member", "member", "count", "blank", "comment"]))
+        if kind in ("blank", "comment"):
+            lines.append("" if kind == "blank" else "# c")
+            continue
+        width = n if kind == "member" else draw(st.integers(0, n + 1))
+        tokens = [draw(_spellings(k)) for _ in range(width)]
+        gaps = [draw(st.sampled_from([" ", " ", "\t", "  "])) for _ in tokens]
+        line = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+        lines.append(line if draw(st.booleans()) else line.strip())
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReadFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_family_texts())
+    def test_matches_reading_one_token_at_a_time(self, text):
+        try:
+            a = read_family(io.StringIO(text))
+            got = ("family", a.n, a.k, a.members)
+        except FamilyFormatError as e:
+            got = ("error", str(e))
+        assert got == _read_by_tokens(io.StringIO(text))
+
+    @pytest.mark.parametrize("k,bad", [(2, "3"), (2, "-1"), (1000, "1001"), (300, "256 1 2 301")])
+    def test_out_of_range_entry_after_valid_lines_keeps_its_line(self, k, bad):
+        n = len(bad.split()) if " " in bad else 3
+        good = " ".join(str(min(i, k)) for i in range(n))
+        row = bad if " " in bad else f"1 {bad} 0"
+        text = f"{n} {k}\n" + f"{good}\n" * 5 + "# c\n" + f"{row}\n{good}\n"
+        with pytest.raises(FamilyFormatError, match=r"^line 8: entry -?\d+ not in \[0, "):
+            read_family(io.StringIO(text))
+
+    def test_blank_members_and_large_entries(self):
+        assert read_family(io.StringIO("0 5\n\n\n")).members == {()}
+        a = read_family(io.StringIO("3 1000\n1000 255 256\n0\t1 \t999\r\n"))
+        assert a.members == {(1000, 255, 256), (0, 1, 999)}
+        assert read_family(io.StringIO("2 3\n01 +1\n")).members == {(1, 1)}
 
 
 class TestShadowCommand:

@@ -401,6 +401,39 @@ class TestCanonicalizeAsPours:
         assert list(b) == sorted(b.members, key=lambda x: orders.leq_key(x, k))
         assert b == Family.of(n, k, b.members)
 
+    @pytest.mark.parametrize("n,k,high,low", [
+        (8, 1, range(28), []),  # a whole level of 6 zeros over levels that hold 56 ... 1
+        (8, 1, range(3), [7, 8]),  # 3 members cross levels 5..3 onto 2 members at level 2
+        (7, 2, range(0, 84, 2), [1]),
+        (9, 1, range(36), range(5)),
+    ])
+    def test_runs_of_empty_levels_pour_as_level_by_level(self, n, k, high, low):
+        # Members at n - 2 and n - 6 zeros, so a run of empty levels lies
+        # between them and below; some runs end on a level too small for the mass.
+        by_level = {zc: list(itertools.islice(
+            (x for x in itertools.product(range(k + 1), repeat=n) if x.count(0) == zc), 100))
+            for zc in (n - 2, n - 6)}
+        members = [by_level[n - 2][i] for i in high] + [by_level[n - 6][i] for i in low]
+        self._assert_matches_pairwise(Family.of(n, k, members))
+
+    def test_a_run_of_empty_levels_is_crossed_in_one_pour(self, monkeypatch):
+        # One member with 2500 zeros: a pour per level sized the sinks of each
+        # of the 2500 levels below it, one _capped_comb call each.
+        n = 10 ** 4
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return capped_comb(*args)
+
+        capped_comb = extremal._capped_comb
+        monkeypatch.setattr(extremal, "_capped_comb", counted)
+        a = Family(n, 3, frozenset({tuple(i % 4 for i in range(n))}))
+        b, v_trace, w_trace = canonicalize_with_potentials(a)
+        assert list(b) == [(3,) * n]
+        assert v_trace == [2500, 0]
+        assert len(calls) <= 4
+
     def test_only_the_labels_placed_are_drawn(self, monkeypatch):
         rng = random.Random("pour:no-labels")
         universe = list(itertools.product(range(4), repeat=5))

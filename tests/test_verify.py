@@ -483,6 +483,37 @@ class TestBoundedKernel:
         assert (len(rep["violations"]), digest) == self.BROKEN_DIGESTS[off]
 
 
+class TestSampledSizesAtTheirMinimum:
+    """A sampled size whose exact minimum is at least its bound can report
+    (bound, 0, False, samples) without drawing, since no sample goes below
+    the minimum.  These pin that result for the sizes of the bounded
+    `theorem1` and `conjecture1` sweeps, every size, as some max_size samples
+    each: a sweep that skips those draws must keep it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("check", ["theorem1", "conjecture1"])
+    def test_the_search_reports_the_bound(self, check, n, k, seed):
+        size = (k + 1) ** n
+        if check == "theorem1":
+            r = 0
+            bound = {m: min_delta_shadow_size(n, k, m) for m in range(size + 1)}
+        else:
+            r, bound = k, {}
+            for low in range(k + 1):
+                for t in range(k + 1):
+                    b = extremal.family_b_rt(n, k, low, t)
+                    bound[len(b)] = max(bound.get(len(b), 0), len(shadow.delta_r(b, k)))
+        masks = child_masks(n, k, r)
+        exact = verify._exact_search(masks, size)
+        budget = SearchBudget(mode="bounded", samples=2000, rng_seed=seed)
+        at_minimum = [m for m, b in bound.items() if exact[m].value >= b]
+        assert at_minimum
+        for m in at_minimum:
+            got = verify._seeded_sample(masks, n, k, m, r, budget, bound[m])
+            assert got == verify._Best(bound[m], 0, False, 2000), m
+
+
 def _enumerable_sizes(size):
     """The sizes m with C(size, m) <= 20 475: the reference scans at most
     that many subsets per size (every size for U <= 16)."""
